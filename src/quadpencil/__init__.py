@@ -18,9 +18,7 @@ from .kronecker import (KroneckerReport, kh_matrix, minimal_chain,
 from .regular import (CanonicalDescriptor, LocalBlockDesc, canonicalize,
                       canonical_local_block, descriptor_key,
                       diagonalize_unit, emit_descriptor, ip1s_solve)
-from .ip2s import (ALL, factor_signature, candidates_for_class,
-                   ip2s_candidates, ip2s_solve, bruteforce_homographies,
-                   cross_ratio, j_invariant, j_of_points, j_of_quartic,
+from .ip2s import (ip2s_solve, cross_ratio, j_invariant,
                    homography_from_triples)
 from . import sampling
 
@@ -40,8 +38,6 @@ __all__ = [
     "CanonicalDescriptor", "LocalBlockDesc", "canonicalize",
     "canonical_local_block", "descriptor_key", "diagonalize_unit",
     "emit_descriptor", "ip1s_solve",
-    "ALL", "factor_signature", "candidates_for_class", "ip2s_candidates",
-    "ip2s_solve", "bruteforce_homographies", "cross_ratio", "j_invariant",
-    "j_of_points", "j_of_quartic", "homography_from_triples",
+    "ip2s_solve", "cross_ratio", "j_invariant", "homography_from_triples",
     "sampling",
 ]

@@ -1,5 +1,5 @@
 """Command-line surface: instance generation, canonicalization, the two
-equivalence solvers, independent verification, and a scaling benchmark.
+equivalence solvers, and independent verification.
 
 Exit codes: 0 solved/equivalent/verified, 2 proven non-equivalent or
 failed verification, 1 usage or internal error.
@@ -11,19 +11,16 @@ import argparse
 import json
 import random
 import re
-import statistics
 import sys
-import time
 
-from . import linalg as _la
 from . import poly as _poly
 from . import sampling
-from .field import make_field, emit_field
+from .field import make_field, emit_elem
 from .kronecker import kronecker_decompose
 from .pencil import (INF, apply_congruence, emit_pencil, emit_solution,
                      parse_pencil, parse_solution, twist, verify_ip1s,
                      verify_ip2s)
-from .regular import canonicalize, emit_descriptor
+from .regular import canonicalize, emit_descriptor, ip1s_solve
 from .ip2s import ip2s_solve
 
 
@@ -174,7 +171,6 @@ def cmd_canon(args):
     F = A.ctx
     if F.p == 2:
         # characteristic two: only the singular part is canonical
-        from .field import emit_elem
         rep = kronecker_decompose(A)
         doc = {"indices": list(rep.indices),
                "transform": [[emit_elem(F, x) for x in row]
@@ -190,7 +186,6 @@ def cmd_canon(args):
 def cmd_ip1s(args):
     A = parse_pencil(_load(args.a))
     B = parse_pencil(_load(args.b))
-    from .regular import ip1s_solve
     S = ip1s_solve(A, B)
     if S is None:
         _emit({"equivalent": False}, args.out)
@@ -223,33 +218,6 @@ def cmd_verify(args):
         return 2
     _emit({"verified": bool(ok)}, args.out)
     return 0 if ok else 2
-
-
-def cmd_bench(args):
-    F = _field_from_args(args)
-    rng = random.Random(args.seed)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    medians = []
-    for n in sizes:
-        times = []
-        for _ in range(args.trials):
-            A = sampling.rand_regular_pencil(F, rng, n)
-            t0 = time.perf_counter()
-            canonicalize(A)
-            times.append(time.perf_counter() - t0)
-        medians.append(statistics.median(times))
-    import math
-    xs = [math.log(n) for n in sizes]
-    ys = [math.log(t) for t in medians]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = sum((x - xbar) ** 2 for x in xs)
-    slope = num / den
-    doc = {"field": emit_field(F), "sizes": sizes,
-           "median_seconds": medians, "slope": slope}
-    _emit(doc, args.out)
-    return 0
 
 
 # -- entry point -------------------------------------------------------------
@@ -306,15 +274,6 @@ def build_parser():
     v.add_argument("solution")
     v.add_argument("-o", "--out", default=None)
     v.set_defaults(func=cmd_verify)
-
-    b = sub.add_parser("bench", help="canonicalization scaling benchmark")
-    _add_field_flags(b)
-    b.set_defaults(q=101)
-    b.add_argument("--sizes", default="8,16,32,64")
-    b.add_argument("--trials", type=int, default=5)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("-o", "--out", default=None)
-    b.set_defaults(func=cmd_bench)
 
     return top
 

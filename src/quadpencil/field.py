@@ -248,37 +248,6 @@ class FiniteField:
             raise AssertionError("norm left the base field")
         return self.base.is_square(nm[0])
 
-    # -- tower navigation ----------------------------------------------
-
-    def tower_from(self, sub):
-        """Chain of fields from sub up to self; error if not a tower."""
-        chain = [self]
-        cur = self
-        while cur != sub:
-            if cur.base is None:
-                raise ValueError("%r is not a tower extension of %r"
-                                 % (self, sub))
-            cur = cur.base
-            chain.append(cur)
-        chain.reverse()
-        return chain
-
-    def embed(self, x, sub):
-        """Map x from the subfield sub into self along the tower."""
-        chain = self.tower_from(sub)
-        for f in chain[1:]:
-            x = f.lift(x)
-        return x
-
-    def coerce_down(self, x, sub):
-        """Inverse of embed; error if x does not lie in sub."""
-        chain = self.tower_from(sub)
-        for f in reversed(chain[1:]):
-            if any(u != f.base.zero for u in x[1:]):
-                raise ValueError("element does not lie in the subfield")
-            x = x[0]
-        return x
-
 
 def field_nonsquare(ctx):
     """Lexicographically smallest non-square unit of the field."""
@@ -332,21 +301,6 @@ def field_sqrt(ctx, x):
     return min(r, other, key=ctx.sort_key)
 
 
-def trace_norm(x, sub, sup):
-    """(Tr_{sup/sub}(x), N_{sup/sub}(x)) for x in sup, results in sub."""
-    sup.tower_from(sub)
-    d = sup.abs_deg // sub.abs_deg
-    if sup.abs_deg != sub.abs_deg * d:
-        raise ValueError("degree of sub does not divide degree of sup")
-    tr, nm = sup.zero, sup.one
-    conj = x
-    for _ in range(d):
-        tr = sup.add(tr, conj)
-        nm = sup.mul(nm, conj)
-        conj = sup.pow(conj, sub.q)
-    return sup.coerce_down(tr, sub), sup.coerce_down(nm, sub)
-
-
 def make_field(p, degree=1, modulus=None):
     """Absolute field F_{p^degree}; modulus is over F_p, constant first,
     canonical (lexicographically first) when omitted."""
@@ -366,6 +320,11 @@ def make_field(p, degree=1, modulus=None):
     return base.extension(mod)
 
 
+def is_int(v):
+    """True for a JSON integer; bools are ints in Python but not here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_field(doc):
     """Field from a JSON-style dict {"p", "degree", "modulus"}."""
     if not isinstance(doc, dict):
@@ -373,11 +332,11 @@ def parse_field(doc):
     p = doc.get("p")
     degree = doc.get("degree", 1)
     modulus = doc.get("modulus")
-    if not isinstance(p, int) or not isinstance(degree, int):
+    if not is_int(p) or not is_int(degree):
         raise ValueError("field parameters must be integers")
     if modulus is not None:
         if (not isinstance(modulus, list)
-                or not all(isinstance(c, int) for c in modulus)):
+                or not all(is_int(c) for c in modulus)):
             raise ValueError("modulus must be an integer array")
         if not all(0 <= c < p for c in modulus):
             raise ValueError("modulus entries must be reduced mod p")
@@ -396,15 +355,14 @@ def emit_field(ctx):
 def parse_elem(ctx, v):
     """Element from its JSON form: bare int (degree 1) or int array."""
     if ctx.prime:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_int(v):
             raise ValueError("degree-1 elements must be bare integers")
         if not 0 <= v < ctx.p:
             raise ValueError("element %r out of range" % (v,))
         return v
     if not isinstance(v, list) or len(v) != ctx.deg:
         raise ValueError("elements must be arrays of length %d" % ctx.deg)
-    if not all(isinstance(c, int) and not isinstance(c, bool)
-               and 0 <= c < ctx.p for c in v):
+    if not all(is_int(c) and 0 <= c < ctx.p for c in v):
         raise ValueError("element coefficients must be reduced mod p")
     return tuple(v)
 

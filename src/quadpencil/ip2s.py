@@ -12,12 +12,8 @@ from __future__ import annotations
 from . import linalg as _la
 from . import poly as _poly
 from .field import field_sqrt
-from .pencil import (BinaryForm, Homography, INF, char_poly, twist,
-                     verify_ip2s)
+from .pencil import BinaryForm, Homography, INF, twist, verify_ip2s
 from .regular import canonicalize, descriptor_key
-
-#: Sentinel for a place class too small to pin a homography on its own.
-ALL = object()
 
 #: Hard ceiling on the intersected candidate set; beyond it the solver
 #: reports resource exhaustion rather than truncating.
@@ -27,36 +23,14 @@ CANDIDATE_BUDGET = 100_000
 SWEEP_BUDGET = 1_000_000
 
 
-# -- factor signatures -----------------------------------------------------
-
-
-def factor_signature(P):
-    """Places of the characteristic form bucketed by degree and exponent:
-    a dict mapping (d, e) to a sorted tuple of places, each place a monic
-    irreducible tuple or INF.  The pencil must be regular."""
-    F = P.ctx
-    cp = char_poly(P)
-    if cp.is_zero():
-        raise ValueError("characteristic form is zero; strip the "
-                         "singular part first")
-    coeffs = cp.coeffs
-    top = max(i for i, c in enumerate(coeffs) if c != F.zero)
-    out = {}
-    inf_exp = cp.degree - top
-    if inf_exp:
-        out[(1, inf_exp)] = (INF,)
-    affine = _poly.poly_trim(F, coeffs[:top + 1])
-    if _poly.poly_deg(affine) > 0:
-        for f, e in _poly.poly_factor(F, affine):
-            de = (_poly.poly_deg(f), e)
-            out[de] = out.get(de, ()) + (f,)
-    return {de: tuple(sorted(places, key=lambda p: _place_key(F, p)))
-            for de, places in out.items()}
+# -- place signatures ------------------------------------------------------
 
 
 def _signature_of_descriptor(F, desc):
-    """The same (d, e) buckets read off a canonical descriptor, whose
-    local blocks already carry every place with its layer multiplicities."""
+    """Places of the characteristic form bucketed by degree and exponent:
+    a dict mapping (d, e) to a sorted tuple of places, each a monic
+    irreducible tuple or INF.  Read off a canonical descriptor, whose
+    local blocks carry every place with its layer multiplicities."""
     exps = {}
     for b in desc.local_blocks:
         exps[b.place] = exps.get(b.place, 0) + b.ell * b.mult
@@ -148,48 +122,6 @@ def j_invariant(F, lam):
     return F.div(num, den)
 
 
-def j_of_points(F, pts):
-    """j-invariant of four distinct points, independent of their order."""
-    a, b, c, d = pts
-    return j_invariant(F, cross_ratio(F, a, b, c, d))
-
-
-def j_of_quartic(F, bf):
-    """j-invariant of a squarefree binary quartic from its roots over the
-    splitting field; the value always lands back in F."""
-    if bf.degree != 4:
-        raise ValueError("binary form must be a quartic")
-    coeffs = bf.coeffs
-    top = max(i for i, c in enumerate(coeffs) if c != F.zero)
-    pts = [INF] * (4 - top)
-    affine = _poly.poly_trim(F, coeffs[:top + 1])
-    factors = _poly.poly_factor(F, affine) if _poly.poly_deg(affine) else []
-    if len(pts) > 1 or any(e > 1 for _, e in factors):
-        raise ValueError("quartic has a repeated root")
-    m = 1
-    for f, _ in factors:
-        d = _poly.poly_deg(f)
-        m = m * d // _gcd(m, d)
-    if m == 1:
-        for f, _ in factors:
-            pts.append(F.neg(f[0]))
-        return j_of_points(F, tuple(pts))
-    K = F.extension(_poly.canonical_modulus(F, m))
-    for f, _ in factors:
-        fk = tuple(K.lift(c) for c in f)
-        pts.extend(_poly.poly_roots(K, fk))
-    j = j_of_points(K, tuple(pts))
-    if any(c != F.zero for c in j[1:]):
-        raise AssertionError("4-point invariant left the base field")
-    return j[0]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # -- homography construction -------------------------------------------------
 
 
@@ -258,21 +190,6 @@ def _all_homographies(F):
             continue
         for e in F.elements():
             yield Homography(F, ((zero, one), (d, e)))
-
-
-def bruteforce_homographies(f, g):
-    """Every homography with f(gamma (lambda:mu)) proportional to g, by
-    exhaustive sweep of PGL_2; the small-field test oracle."""
-    F = f.ctx
-    if F.q ** 3 - F.q > SWEEP_BUDGET:
-        raise ValueError("field too large for an exhaustive sweep")
-    fn = f.normalized()
-    gn = g.normalized()
-    out = []
-    for gamma in _all_homographies(F):
-        if fn.compose(gamma).normalized() == gn:
-            out.append(gamma)
-    return out
 
 
 # -- pinning strategies -------------------------------------------------------
@@ -427,47 +344,7 @@ def _nonsplit_torus_candidates(F, g1, opts):
                     yield g
 
 
-def candidates_for_class(F, S, T, d, e):
-    """Homographies carrying the degree-d exponent-e places S onto T:
-    a finite set pinned from triples (d = 1), conjugate root pairs
-    (d = 2) or Galois orbits (d >= 3), or the sentinel ALL when the
-    class is too small to pin anything alone.  Mismatched cardinalities
-    give the empty set, an obstruction to equivalence."""
-    if len(S) != len(T):
-        return ()
-    k = len(S)
-    if d == 1 and k >= 3:
-        xs = tuple(_place_point(F, p) for p in S[:3])
-        pts = tuple(_place_point(F, p) for p in T)
-        raw = _point_triple_candidates(F, xs, (pts, pts, pts))
-    elif d == 2 and k >= 2:
-        raw = _quad_pair_candidates(F, S[0], S[1], T, T)
-    elif d >= 3:
-        raw = _orbit_candidates(F, d, S[0], T)
-    else:
-        return ALL
-    found = {}
-    for g in raw:
-        key = _homography_key(F, g)
-        if key not in found and _maps_onto(F, g, S, T):
-            found[key] = g
-    return tuple(found[key] for key in sorted(found))
-
-
 # -- the solver ---------------------------------------------------------------
-
-
-def ip2s_candidates(A, B):
-    """The intersected candidate set: homographies compatible with every
-    place class of the two characteristic forms, cheapest pinning
-    strategy first, sorted by matrix entries.  Needs a nonzero regular
-    part."""
-    F = A.ctx
-    da = canonicalize(A)
-    db = canonicalize(B)
-    sig_a = _signature_of_descriptor(F, da)
-    sig_b = _signature_of_descriptor(F, db)
-    return _candidate_pool(F, sig_b, sig_a)
 
 
 def _candidate_pool(F, sig_src, sig_dst):
@@ -489,67 +366,55 @@ def _candidate_pool(F, sig_src, sig_dst):
                    key=lambda it: (len(sig_dst[it[1]]), it[1],
                                    _poly.poly_sort_key(F, it[0])))
     q = F.q
+
+    def size(item):
+        return len(sig_dst[item[1]])
+
+    def points(de):
+        return tuple(_place_point(F, p) for p in sig_dst[de])
+
+    # (cost, generator, its arguments after F), appended in tie-break order
     strategies = []
     if len(rats) >= 3:
-        cost = 1
-        for _, de in rats[:3]:
-            cost *= len(sig_dst[de])
-        strategies.append((cost, 0))
+        strategies.append((
+            size(rats[0]) * size(rats[1]) * size(rats[2]),
+            _point_triple_candidates,
+            (tuple(_place_point(F, p) for p, _ in rats[:3]),
+             tuple(points(de) for _, de in rats[:3]))))
     if rats and quads:
-        strategies.append((2 * len(sig_dst[rats[0][1]])
-                           * len(sig_dst[quads[0][1]]), 1))
+        strategies.append((
+            2 * size(rats[0]) * size(quads[0]), _mixed_candidates,
+            (_place_point(F, rats[0][0]), quads[0][0], points(rats[0][1]),
+             sig_dst[quads[0][1]])))
     if len(quads) >= 2:
-        strategies.append((4 * len(sig_dst[quads[0][1]])
-                           * len(sig_dst[quads[1][1]]), 2))
-    best_orbit = None
-    for de in sorted(sig_src):
-        if de[0] >= 3:
-            cost = de[0] * len(sig_src[de])
-            if best_orbit is None or cost < best_orbit[0]:
-                best_orbit = (cost, de)
-    if best_orbit:
-        strategies.append((best_orbit[0], 3))
+        strategies.append((
+            4 * size(quads[0]) * size(quads[1]), _quad_pair_candidates,
+            (quads[0][0], quads[1][0], sig_dst[quads[0][1]],
+             sig_dst[quads[1][1]])))
+    orbits = [(de[0] * len(sig_src[de]), de)
+              for de in sorted(sig_src) if de[0] >= 3]
+    if orbits:
+        cost, de = min(orbits, key=lambda o: o[0])
+        strategies.append((cost, _orbit_candidates,
+                           (de[0], sig_src[de][0], sig_dst[de])))
     if len(rats) >= 2:
-        strategies.append((len(sig_dst[rats[0][1]])
-                           * len(sig_dst[rats[1][1]]) * (q - 1), 4))
+        strategies.append((
+            size(rats[0]) * size(rats[1]) * (q - 1), _split_torus_candidates,
+            (_place_point(F, rats[0][0]), _place_point(F, rats[1][0]),
+             points(rats[0][1]), points(rats[1][1]))))
     if quads:
-        strategies.append((2 * (q + 1) * len(sig_dst[quads[0][1]]), 5))
+        strategies.append((2 * (q + 1) * size(quads[0]),
+                           _nonsplit_torus_candidates,
+                           (quads[0][0], sig_dst[quads[0][1]])))
     if q ** 3 - q <= SWEEP_BUDGET:
-        strategies.append((q ** 3 - q, 6))
+        strategies.append((q ** 3 - q, _all_homographies, ()))
     if not strategies:
         raise ValueError("too few places pin a homography and the field "
                          "is too large to sweep")
-    strategies.sort()
-    cost, tag = strategies[0]
+    cost, generate, args = min(strategies, key=lambda s: s[0])
     if cost > SWEEP_BUDGET:
         raise ValueError("candidate enumeration exceeds the search budget")
-    if tag == 0:
-        xs = tuple(_place_point(F, p) for p, _ in rats[:3])
-        opts = tuple(tuple(_place_point(F, p) for p in sig_dst[de])
-                     for _, de in rats[:3])
-        pool = _point_triple_candidates(F, xs, opts)
-    elif tag == 1:
-        pool = _mixed_candidates(
-            F, _place_point(F, rats[0][0]), quads[0][0],
-            tuple(_place_point(F, p) for p in sig_dst[rats[0][1]]),
-            sig_dst[quads[0][1]])
-    elif tag == 2:
-        pool = _quad_pair_candidates(F, quads[0][0], quads[1][0],
-                                     sig_dst[quads[0][1]],
-                                     sig_dst[quads[1][1]])
-    elif tag == 3:
-        de = best_orbit[1]
-        pool = _orbit_candidates(F, de[0], sig_src[de][0], sig_dst[de])
-    elif tag == 4:
-        pool = _split_torus_candidates(
-            F, _place_point(F, rats[0][0]), _place_point(F, rats[1][0]),
-            tuple(_place_point(F, p) for p in sig_dst[rats[0][1]]),
-            tuple(_place_point(F, p) for p in sig_dst[rats[1][1]]))
-    elif tag == 5:
-        pool = _nonsplit_torus_candidates(F, quads[0][0],
-                                          sig_dst[quads[0][1]])
-    else:
-        pool = _all_homographies(F)
+    pool = generate(F, *args)
     classes = sorted(sig_src)
     out = {}
     for g in pool:

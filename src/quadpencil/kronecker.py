@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg as _la
-from .pencil import Pencil, apply_congruence
+from .pencil import Pencil, apply_congruence, congruent_pencil
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,10 @@ def _cols(vectors):
     return _la.transpose(tuple(vectors))
 
 
-def _span_image(F, M, vectors):
-    """Canonical basis of M * span(vectors)."""
-    return _la.span_basis(F, [_la.mat_vec(F, M, v) for v in vectors])
+def _principal(P, idx):
+    """The sub-pencil on the coordinates idx."""
+    return Pencil.make(P.ctx, _la.submatrix(P.b_inf, idx, idx),
+                       _la.submatrix(P.b_0, idx, idx))
 
 
 def chain_ok(P, c):
@@ -220,14 +221,15 @@ def _staircase_correction(F, T, h, m):
 
 def split_kronecker(P, c):
     """Congruence isolating the Kronecker module of the chain as an
-    orthogonal direct factor; returns (transform, complement pencil)."""
+    orthogonal direct factor; returns (transform, transformed pencil),
+    the module on the first 2h+1 coordinates."""
     F, n, h = P.ctx, P.n, c.h
     S, h, m = _split_basis(P, c)
-    T = apply_congruence(P, S)
+    T = congruent_pencil(P, S)
     if h > 0 and m > 0:
         corr = _staircase_correction(F, T, h, m)
         S = _la.mat_mul(F, S, corr)
-        T = apply_congruence(P, S)
+        T = congruent_pencil(P, S)
     khw = 2 * h + 1
     ref = kh_matrix(F, h)
     for B, K in ((T.b_inf, ref.b_inf), (T.b_0, ref.b_0)):
@@ -240,10 +242,7 @@ def split_kronecker(P, c):
             for j in range(khw):
                 if B[i][j] != K[i][j]:
                     raise AssertionError("module block malformed")
-    idx = range(khw, n)
-    comp = Pencil.make(F, _la.submatrix(T.b_inf, idx, idx),
-                       _la.submatrix(T.b_0, idx, idx))
-    return S, comp
+    return S, T
 
 
 def _clear_ff_block(F, T, h):
@@ -285,11 +284,11 @@ def normalize_kronecker(P_K, c):
     S, h, m = _split_basis(P_K, c)
     if m != 0:
         raise AssertionError("unreachable: dimensions checked above")
-    T = apply_congruence(P_K, S)
+    T = congruent_pencil(P_K, S)
     corr = _clear_ff_block(F, T, h)
     S = _la.mat_mul(F, S, corr)
     ref = kh_matrix(F, h)
-    out = apply_congruence(P_K, S)
+    out = congruent_pencil(P_K, S)
     if out != ref:
         raise AssertionError("normalization did not reach K_h")
     return S
@@ -312,12 +311,10 @@ def kronecker_decompose(P):
         c = minimal_chain(cur)
         if c is None:
             break
-        S_split, comp = split_kronecker(cur, c)
+        S_split, T = split_kronecker(cur, c)
         khw = 2 * c.h + 1
-        Tm = apply_congruence(cur, S_split)
-        module = Pencil.make(
-            F, _la.submatrix(Tm.b_inf, range(khw), range(khw)),
-            _la.submatrix(Tm.b_0, range(khw), range(khw)))
+        module = _principal(T, range(khw))
+        comp = _principal(T, range(khw, cur.n))
         std_chain = IsotropicChain(c.h, tuple(
             tuple((F.one if (i == j and i % 2 == 0) else
                    (F.neg(F.one) if (i == j) else F.zero))

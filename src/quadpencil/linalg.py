@@ -110,10 +110,6 @@ def hstack(A, B):
     return tuple(ra + rb for ra, rb in zip(A, B))
 
 
-def vstack(A, B):
-    return tuple(A) + tuple(B)
-
-
 def block_diag(F, blocks):
     blocks = [b for b in blocks]
     n = sum(len(b) for b in blocks)
@@ -213,19 +209,12 @@ def nullspace(F, A, ncols=None):
 
 def solve(F, A, b):
     """One solution of A x = b (free coordinates zero), or None."""
-    aug = hstack(A, tuple((x,) for x in b))
-    R, pivots = rref(F, aug)
-    nc = len(A[0]) if A else 0
-    if pivots and pivots[-1] == nc:
-        return None
-    x = [F.zero] * nc
-    for r, c in enumerate(pivots):
-        x[c] = R[r][nc]
-    return tuple(x)
+    X = mat_solve(F, A, tuple((x,) for x in b))
+    return None if X is None else tuple(row[0] for row in X)
 
 
 def mat_solve(F, A, B):
-    """One solution X of A X = B, or None."""
+    """One solution X of A X = B (free rows zero), or None."""
     nc = len(A[0]) if A else 0
     aug = hstack(A, B)
     R, pivots = rref(F, aug)
@@ -250,7 +239,8 @@ def inv(F, A):
 
 
 def is_invertible(F, A):
-    return len(A) == 0 or inv(F, A) is not None
+    """True when the square matrix A has full rank."""
+    return len(A) == 0 or rank(F, A) == len(A)
 
 
 def span_basis(F, vectors, ncols=None):
@@ -386,10 +376,6 @@ def ring_inv(R, A):
                 f = M[i][c]
                 M[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(M[i], M[c])]
     return tuple(tuple(row[n:]) for row in M)
-
-
-def ring_mat_vec(R, A, v):
-    return tuple(_ring_dot(R, row, v) for row in A)
 
 
 def mat_pow(F, M, e):

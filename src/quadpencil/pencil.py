@@ -163,11 +163,6 @@ class Homography:
     def identity(ctx):
         return Homography.make(ctx, ((ctx.one, ctx.zero), (ctx.zero, ctx.one)))
 
-    def det(self):
-        F = self.ctx
-        (a, b), (d, e) = self.m
-        return F.sub(F.mul(a, e), F.mul(b, d))
-
     def inverse(self):
         F = self.ctx
         (a, b), (d, e) = self.m
@@ -251,22 +246,31 @@ def twist(P, g):
     return Pencil.make(F, binf, b0)
 
 
+def congruent_pencil(P, C):
+    """The pencil (tC B_inf C, tC B_0 C) for any n x k matrix C, without
+    an invertibility check: the restriction of P to the columns of C, or
+    a base change when C is invertible by construction."""
+    F = P.ctx
+    binf = _la.congruent(F, P.b_inf, C)
+    return Pencil(F, len(binf), binf, _la.congruent(F, P.b_0, C))
+
+
 def apply_congruence(P, S):
     """Base change x -> S x on both Gram matrices."""
-    F = P.ctx
-    if not _la.is_invertible(F, S):
+    if not _la.is_invertible(P.ctx, S):
         raise ValueError("congruence matrix is singular")
-    return Pencil.make(F, _la.congruent(F, P.b_inf, S),
-                       _la.congruent(F, P.b_0, S))
+    return congruent_pencil(P, S)
 
 
 def verify_ip1s(A, B, S):
-    """True iff tS A_inf S = B_inf and tS A_0 S = B_0 exactly."""
+    """True iff tS A_inf S = B_inf and tS A_0 S = B_0 exactly, with S
+    invertible."""
     if A.ctx != B.ctx or A.n != B.n:
         raise ValueError("pencils live on different spaces")
     F = A.ctx
     return (_la.congruent(F, A.b_inf, S) == B.b_inf
-            and _la.congruent(F, A.b_0, S) == B.b_0)
+            and _la.congruent(F, A.b_0, S) == B.b_0
+            and _la.is_invertible(F, S))
 
 
 def verify_ip2s(A, B, S, g):
@@ -280,7 +284,7 @@ def parse_pencil(doc):
         raise ValueError("instance must be an object")
     ctx = _field.parse_field(doc.get("field"))
     n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _field.is_int(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     mats = []
     for key in ("b_inf", "b_0"):

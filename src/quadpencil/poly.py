@@ -35,10 +35,6 @@ def poly_x(F):
     return (F.zero, F.one)
 
 
-def poly_from_ints(F, coeffs):
-    return poly_trim(F, [F.scalar(c) for c in coeffs])
-
-
 def poly_add(F, a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -356,19 +352,6 @@ def trace_power_sums(F, f, count):
             acc = F.add(acc, F.mul(f[i], h[m - d + i]))
         h.append(F.neg(acc))
     return h[:count]
-
-
-def trace_form_matrix(F, f):
-    """Hankel Gram matrix T_f[i][j] = Tr(zeta^(i+j)/f'(zeta)) of the trace
-    form twisted by 1/f'; both T_f and T_f M_f are symmetric and T_f is
-    invertible."""
-    if not f or f[-1] != F.one:
-        raise ValueError("trace form needs a monic polynomial")
-    if not is_irreducible(F, f):
-        raise ValueError("trace form needs an irreducible polynomial")
-    d = poly_deg(f)
-    h = trace_power_sums(F, f, 2 * d - 1)
-    return tuple(tuple(h[i + j] for j in range(d)) for i in range(d))
 
 
 class PolyRing:

@@ -20,7 +20,8 @@ from . import localring as _lr
 from . import poly as _poly
 from .field import field_nonsquare, field_sqrt, emit_elem
 from .kronecker import kh_matrix, kronecker_decompose
-from .pencil import INF, Pencil, apply_congruence, verify_ip1s
+from .pencil import (INF, Pencil, apply_congruence, congruent_pencil,
+                     verify_ip1s)
 
 
 # -- primary decomposition ----------------------------------------------
@@ -34,15 +35,6 @@ def char_endomorphism(P):
     if binv is None:
         raise ValueError("leading form is singular")
     return _la.mat_neg(F, _la.mat_mul(F, binv, P.b_0))
-
-
-def _restrict_pencil(P, basis):
-    F = P.ctx
-    if not basis:
-        return Pencil.make(F, (), ())
-    C = _la.transpose(basis)
-    return Pencil.make(F, _la.congruent(F, P.b_inf, C),
-                       _la.congruent(F, P.b_0, C))
 
 
 def infinite_split(P):
@@ -647,15 +639,15 @@ def canonicalize(P):
         wb, wpb = infinite_split(reg)
         if wb:
             Cw = _la.transpose(wb)
-            swapped = Pencil.make(F, _la.congruent(F, reg.b_0, Cw),
-                                  _la.congruent(F, reg.b_inf, Cw))
+            W = congruent_pencil(reg, Cw)
+            swapped = Pencil(F, W.n, W.b_0, W.b_inf)
             entries += _process_place(swapped, (F.zero, F.one), Cw, INF)
         if wpb:
             Cwp = _la.transpose(wpb)
-            sub = _restrict_pencil(reg, wpb)
+            sub = congruent_pencil(reg, Cwp)
             for f, vb in primary_split(sub):
                 Cv = _la.transpose(vb)
-                blk = _restrict_pencil(sub, vb)
+                blk = congruent_pencil(sub, Cv)
                 entries += _process_place(blk, f,
                                           _la.mat_mul(F, Cwp, Cv), f)
     desc, canon = canonical_assemble(F, kron, entries)

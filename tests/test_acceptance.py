@@ -8,14 +8,16 @@ from quadpencil.field import make_field, field_nonsquare
 from quadpencil import linalg as la
 from quadpencil import poly as pl
 from quadpencil import sampling as sp
-from quadpencil.ip2s import (bruteforce_homographies, ip2s_candidates,
-                             ip2s_solve)
+from quadpencil.ip2s import ip2s_solve
 from quadpencil.kronecker import kh_matrix, kronecker_decompose
 from quadpencil.localring import LocalRing, ring_sqrt
 from quadpencil.pencil import (Pencil, INF, apply_congruence, char_poly,
                                twist, verify_ip1s, verify_ip2s)
 from quadpencil.regular import (canonicalize, descriptor_key,
                                 diagonalize_unit, ip1s_solve)
+
+from oracles import (bruteforce_homographies, candidate_pool,
+                     poly_from_ints, regular_form)
 
 _FIELDS = {}
 
@@ -196,7 +198,7 @@ def test_5_extension_of_scalars_splitting_degrees_in_1_2_4():
     fourth = {F.mul(F.mul(x, x), F.mul(x, x))
               for x in F.elements() if x != F.zero}
     assert fourth == {1, 2, 4}
-    quartic = pl.poly_from_ints(F, (4, 0, 0, 0, 1))
+    quartic = poly_from_ints(F, (4, 0, 0, 0, 1))
     assert all(pl.poly_eval(F, quartic, x) != F.zero for x in F.elements())
     A, B = _swapped_pair(F, F.one)
     assert ip1s_solve(A, B) is None
@@ -212,7 +214,7 @@ def test_5_extension_of_scalars_splitting_degrees_in_1_2_4():
         for a in elems:
             if a == Fq.zero:
                 continue
-            quart = pl.poly_from_ints(
+            quart = poly_from_ints(
                 Fq, (Fq.mul(Fq.scalar(4), a), 0, 0, 0, 1))
             predicted = min(pl.poly_deg(f)
                             for f, _ in pl.poly_factor(Fq, quart))
@@ -321,10 +323,9 @@ def test_7_ip2s_round_trip_200_planted_with_bruteforce_containment():
         assert out is not None
         S, g = out
         assert verify_ip2s(A, B, S, g)
-        pool = {h.m for h in ip2s_candidates(A, B)}
-        ra = kronecker_decompose(A).regular_part
-        rb = kronecker_decompose(B).regular_part
-        oracle = bruteforce_homographies(char_poly(ra), char_poly(rb))
+        da, db = canonicalize(A), canonicalize(B)
+        pool = {h.m for h in candidate_pool(F, da, db)}
+        oracle = bruteforce_homographies(regular_form(da), regular_form(db))
         assert {h.m for h in oracle} <= pool
         assert g0.m in pool
 

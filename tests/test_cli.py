@@ -117,6 +117,14 @@ def test_verify_rejects_corrupt_solutions(tmp_path, capsys):
     rc, doc = _run(capsys, ["verify", pre + "_A.json", pre + "_B.json",
                             str(bad)])
     assert rc == 2 and doc["verified"] is False and "error" in doc
+    # a singular S satisfying both equalities is rejected
+    sing = tmp_path / "sing.json"
+    sing.write_text(json.dumps({"field": {"p": 3, "degree": 1},
+                                "n": 2, "b_inf": [[1, 0], [0, 0]],
+                                "b_0": [[0, 0], [0, 0]]}))
+    bad.write_text(json.dumps({"S": [[1, 0], [0, 0]]}))
+    rc, doc = _run(capsys, ["verify", str(sing), str(sing), str(bad)])
+    assert rc == 2 and doc == {"verified": False}
     # unreadable instance file is a usage problem, not a verdict
     assert main(["verify", pre + "_missing.json", pre + "_B.json",
                  str(bad)]) == 1
@@ -141,11 +149,3 @@ def test_canon_char2_reports_kronecker(tmp_path, capsys):
     assert rc == 0
     assert doc["indices"] == [0, 1]
     assert "regular_part" in doc and "transform" in doc
-
-
-def test_bench_reports_slope(capsys):
-    rc, doc = _run(capsys, ["bench", "--q", "7", "--sizes", "2,4",
-                            "--trials", "1"])
-    assert rc == 0
-    assert set(doc) == {"field", "sizes", "median_seconds", "slope"}
-    assert len(doc["median_seconds"]) == 2

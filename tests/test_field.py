@@ -142,3 +142,8 @@ def test_bad_inputs():
     F = make_field(5)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+    # JSON booleans are not integers, even though Python's bool is an int
+    for doc in ({"p": 3, "degree": True}, {"p": True},
+                {"p": 3, "degree": 2, "modulus": [True, 0, 1]}):
+        with pytest.raises(ValueError):
+            parse_field(doc)

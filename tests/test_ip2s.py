@@ -9,17 +9,17 @@ from quadpencil.field import make_field
 from quadpencil import linalg as la
 from quadpencil import poly as pl
 from quadpencil import sampling as sp
-from quadpencil.ip2s import (ALL, bruteforce_homographies, candidates_for_class,
-                             cross_ratio, factor_signature,
-                             homography_from_triples, ip2s_candidates,
-                             ip2s_solve, j_invariant, j_of_points,
-                             j_of_quartic, _all_homographies, _homography_key,
-                             _maps_onto, _signature_of_descriptor)
-from quadpencil.kronecker import kronecker_decompose
+from quadpencil.ip2s import (cross_ratio, homography_from_triples,
+                             ip2s_solve, j_invariant, _all_homographies,
+                             _candidate_pool, _homography_key, _maps_onto,
+                             _signature_of_descriptor)
 from quadpencil.pencil import (Pencil, BinaryForm, Homography, INF,
                                apply_congruence, char_poly, twist,
                                verify_ip2s)
 from quadpencil.regular import canonicalize
+
+from oracles import (bruteforce_homographies, candidate_pool,
+                     factor_signature, regular_form)
 
 
 def test_cross_ratio_oracle():
@@ -56,47 +56,12 @@ def test_j_of_points_order_and_homography_invariant():
         pts_all = list(F.elements()) + [INF]
         for _ in range(20):
             pts = tuple(rng.sample(pts_all, 4))
-            j = j_of_points(F, pts)
+            j = j_invariant(F, cross_ratio(F, *pts))
             perm = tuple(rng.sample(pts, 4))
-            assert j_of_points(F, perm) == j
+            assert j_invariant(F, cross_ratio(F, *perm)) == j
             g = sp.rand_homography(F, rng)
             moved = tuple(g.apply_point(x) for x in pts)
-            assert j_of_points(F, moved) == j
-
-
-def test_j_of_quartic_matches_points_and_handles_extensions():
-    F = make_field(7)
-    # split quartic with roots 0, 1, 2, 3
-    f = (1,)
-    for r in (0, 1, 2, 3):
-        f = pl.poly_mul(F, f, (F.neg(r), 1))
-    bf = BinaryForm.from_affine(F, f, 4)
-    assert j_of_quartic(F, bf) == j_of_points(F, (0, 1, 2, 3))
-    # leading zero puts one root at infinity
-    g = (1,)
-    for r in (0, 1, 2):
-        g = pl.poly_mul(F, g, (F.neg(r), 1))
-    bfi = BinaryForm.make(F, 4, tuple(g) + (0,))
-    assert j_of_quartic(F, bfi) == j_of_points(F, (INF, 0, 1, 2))
-    # x^4 + 4 splits only over the quadratic extension, j still rational
-    quad = BinaryForm.from_affine(F, (4, 0, 0, 0, 1), 4)
-    j = j_of_quartic(F, quad)
-    assert j in list(F.elements())
-    with pytest.raises(ValueError):
-        j_of_quartic(F, BinaryForm.from_affine(F, (0, 0, 1, 0, 1), 4))
-
-
-def test_j_of_quartic_twist_invariant():
-    rng = random.Random(23)
-    F = make_field(13)
-    for _ in range(15):
-        roots = rng.sample(list(F.elements()), 4)
-        f = (1,)
-        for r in roots:
-            f = pl.poly_mul(F, f, (F.neg(r), 1))
-        bf = BinaryForm.from_affine(F, f, 4)
-        g = sp.rand_homography(F, rng)
-        assert j_of_quartic(F, bf.compose(g)) == j_of_quartic(F, bf)
+            assert j_invariant(F, cross_ratio(F, *moved)) == j
 
 
 def test_factor_signature_oracles():
@@ -153,36 +118,34 @@ def _irreducibles(F, d):
             yield f
 
 
-def _sweep_class(F, S, T):
-    keys = set()
-    for g in _all_homographies(F):
-        if _maps_onto(F, g, S, T):
-            keys.add(_homography_key(F, g))
-    return keys
+def _sweep(F, sig_src, sig_dst):
+    return {_homography_key(F, g) for g in _all_homographies(F)
+            if all(_maps_onto(F, g, sig_src[de], sig_dst[de])
+                   for de in sig_src)}
+
+
+def _signature(F, places):
+    P = sp.assemble_blocks(F, blocks=tuple((f, 1, False) for f in places))
+    return _signature_of_descriptor(F, canonicalize(P))
 
 
 def test_candidates_for_class_match_exhaustive_sweep():
     for q in (5, 7):
         F = make_field(q)
-        # three rational places
-        S1 = ((0, 1), (1, 1), (F.neg(2), 1))
-        got = candidates_for_class(F, S1, S1, 1, 1)
-        assert {_homography_key(F, g) for g in got} == _sweep_class(F, S1, S1)
-        # two quadratic places
         quads = list(itertools.islice(_irreducibles(F, 2), 2))
-        S2 = tuple(quads)
-        got = candidates_for_class(F, S2, S2, 2, 1)
-        assert {_homography_key(F, g) for g in got} == _sweep_class(F, S2, S2)
-        # one cubic place: pinned up to orbit rotation
         cub = next(_irreducibles(F, 3))
-        S3 = (cub,)
-        got = candidates_for_class(F, S3, S3, 3, 1)
-        assert {_homography_key(F, g) for g in got} == _sweep_class(F, S3, S3)
+        for places in (((0, 1), (1, 1), (F.neg(2), 1)),  # point triple
+                       tuple(quads),       # two conjugate root pairs
+                       (cub,),             # pinned up to orbit rotation
+                       ((0, 1), quads[0]),  # a point and a root pair
+                       ((0, 1), (1, 1)),   # split torus
+                       (quads[0],)):       # nonsplit torus
+            sig = _signature(F, places)
+            got = _candidate_pool(F, sig, sig)
+            assert {_homography_key(F, g) for g in got} == _sweep(F, sig, sig)
     F = make_field(5)
-    assert candidates_for_class(F, ((0, 1),), ((0, 1), (1, 1)), 1, 1) == ()
-    assert candidates_for_class(F, ((0, 1), (1, 1)), ((0, 1), (2, 1)),
-                                1, 1) is ALL
-    assert candidates_for_class(F, ((2, 0, 1),), ((2, 0, 1),), 2, 1) is ALL
+    assert _candidate_pool(F, {(1, 1): ((0, 1),)},
+                           {(1, 1): ((0, 1), (1, 1))}) == ()
 
 
 def _plant(F, rng, A):
@@ -198,7 +161,8 @@ def test_pool_equals_bruteforce_oracle():
         for n in (2, 3, 4):
             A = sp.rand_regular_pencil(F, rng, n)
             B, _ = _plant(F, rng, A)
-            pool = {_homography_key(F, g) for g in ip2s_candidates(A, B)}
+            pool = {_homography_key(F, g) for g in
+                    candidate_pool(F, canonicalize(A), canonicalize(B))}
             oracle = {_homography_key(F, g) for g in
                       bruteforce_homographies(char_poly(A), char_poly(B))}
             assert pool == oracle
@@ -210,11 +174,10 @@ def test_pool_oracle_on_singular_regular_parts():
     A = sp.planted_pencil(F, rng, kron=(1,),
                           blocks=(((3, 1), 1, False), ((1, 0, 1), 1, True)))[0]
     B, _ = _plant(F, rng, A)
-    pool = {_homography_key(F, g) for g in ip2s_candidates(A, B)}
-    ra = kronecker_decompose(A).regular_part
-    rb = kronecker_decompose(B).regular_part
+    da, db = canonicalize(A), canonicalize(B)
+    pool = {_homography_key(F, g) for g in candidate_pool(F, da, db)}
     oracle = {_homography_key(F, g) for g in
-              bruteforce_homographies(char_poly(ra), char_poly(rb))}
+              bruteforce_homographies(regular_form(da), regular_form(db))}
     assert pool == oracle
 
 
@@ -249,7 +212,7 @@ def test_inequivalent_pairs_give_none():
     # irreducible place against a split pair of rational places
     A = Pencil.make(F, la.identity(F, 2), ((1, 3), (3, 6)))
     B = Pencil.make(F, la.identity(F, 2), ((0, 0), (0, 6)))
-    assert ip2s_candidates(A, B) == ()
+    assert candidate_pool(F, canonicalize(A), canonicalize(B)) == ()
     assert ip2s_solve(A, B) is None
     # same places, mismatched character: diag(1, 1, a) vs diag(1, 1, b)
     rng = random.Random(71)
@@ -276,7 +239,7 @@ def test_fully_singular_pair_uses_identity_homography():
     assert g.m == Homography.identity(F).m
     assert verify_ip2s(A, B, S, g)
     with pytest.raises(ValueError):
-        ip2s_candidates(A, B)
+        candidate_pool(F, canonicalize(A), canonicalize(B))
 
 
 def test_large_field_split_torus_pinning():
@@ -285,7 +248,7 @@ def test_large_field_split_torus_pinning():
     rng = random.Random(79)
     A = Pencil.make(F, la.identity(F, 2), _diag(F, (3, 17)))
     B, g0 = _plant(F, rng, A)
-    pool = ip2s_candidates(A, B)
+    pool = candidate_pool(F, canonicalize(A), canonicalize(B))
     assert _homography_key(F, g0) in {_homography_key(F, g) for g in pool}
     out = ip2s_solve(A, B)
     assert out is not None
@@ -301,7 +264,7 @@ def test_large_field_nonsplit_torus_pinning():
     A = Pencil.make(F, la.identity(F, 2), ((0, 1), (1, c)))
     assert list(factor_signature(A)) == [(2, 1)]
     B, g0 = _plant(F, rng, A)
-    pool = ip2s_candidates(A, B)
+    pool = candidate_pool(F, canonicalize(A), canonicalize(B))
     assert _homography_key(F, g0) in {_homography_key(F, g) for g in pool}
     out = ip2s_solve(A, B)
     assert out is not None
@@ -319,7 +282,7 @@ def test_large_field_mixed_point_and_quadratic_pinning():
     A = Pencil.make(F, la.block_diag(F, (quad.b_inf, lin.b_inf)),
                     la.block_diag(F, (quad.b_0, lin.b_0)))
     B, g0 = _plant(F, rng, A)
-    pool = ip2s_candidates(A, B)
+    pool = candidate_pool(F, canonicalize(A), canonicalize(B))
     assert len(pool) <= 4
     assert _homography_key(F, g0) in {_homography_key(F, g) for g in pool}
     out = ip2s_solve(A, B)
@@ -331,7 +294,7 @@ def test_large_field_starved_class_raises():
     F = make_field(10007)
     A = Pencil.make(F, la.identity(F, 2), la.zeros(F, 2, 2))
     with pytest.raises(ValueError):
-        ip2s_candidates(A, A)
+        ip2s_solve(A, A)
 
 
 def test_bruteforce_rejects_large_fields():

@@ -20,6 +20,14 @@ def test_pencil_make_checks():
         Pencil.make(F, ((0, 1), (2, 0)), ((0, 0), (0, 0)))  # not symmetric
     with pytest.raises(ValueError):
         Pencil.make(F, ((0,),), ((0, 0), (0, 0)))
+    # a JSON boolean is not a dimension
+    doc = {"field": {"p": 3, "degree": True}, "n": True,
+           "b_inf": [[1]], "b_0": [[0]]}
+    with pytest.raises(ValueError):
+        parse_pencil(doc)
+    doc["field"]["degree"] = 1
+    with pytest.raises(ValueError):
+        parse_pencil(doc)
 
 
 def test_char_poly_diagonal_oracle():
@@ -154,6 +162,13 @@ def test_verify_ip1s_and_ip2s():
             S2 = sp.rand_invertible(F, rng, n)
             if S2 != S:
                 assert not verify_ip1s(A, B, S2)
+    # both equalities hold, but a singular S is no congruence
+    F3 = make_field(3)
+    A = Pencil.make(F3, ((1, 0), (0, 0)), la.zeros(F3, 2, 2))
+    S = ((1, 0), (0, 0))
+    assert la.congruent(F3, A.b_inf, S) == A.b_inf
+    assert not verify_ip1s(A, A, S)
+    assert not verify_ip2s(A, A, S, Homography.identity(F3))
 
 
 def test_apply_congruence_rejects_singular():
