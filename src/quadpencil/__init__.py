@@ -18,8 +18,7 @@ from .kronecker import (KroneckerReport, kh_matrix, minimal_chain,
 from .regular import (CanonicalDescriptor, LocalBlockDesc, canonicalize,
                       canonical_local_block, descriptor_key,
                       diagonalize_unit, emit_descriptor, ip1s_solve)
-from .ip2s import (ip2s_solve, cross_ratio, j_invariant,
-                   homography_from_triples)
+from .ip2s import ip2s_solve
 from . import sampling
 
 __version__ = "1.0.0"
@@ -38,6 +37,6 @@ __all__ = [
     "CanonicalDescriptor", "LocalBlockDesc", "canonicalize",
     "canonical_local_block", "descriptor_key", "diagonalize_unit",
     "emit_descriptor", "ip1s_solve",
-    "ip2s_solve", "cross_ratio", "j_invariant", "homography_from_triples",
+    "ip2s_solve",
     "sampling",
 ]

@@ -5,15 +5,24 @@ S^t (twist(A, g)) S = B.  Determinants force g to carry the places of
 B's characteristic form onto those of A with matching exponents, so a
 finite candidate set is pinned down from the factored place data and
 each survivor is checked by the one-sided solver on the full pencils.
+
+Pinning is linear algebra over the base field.  "g = ((a, b), (d, e))
+sends (x0:x1) to (y0:y1)" is the condition (a x0 + b x1) y1 - (d x0 +
+e x1) y0 = 0, linear in the entries of g.  For a place of degree d, x is
+its root (the class of t) in K = F.extension(place) and y a root of the
+target place in K; the condition's d coordinates over F are d rows.  The
+candidates for one choice of target roots are the invertible projective
+points of the nullspace of the stacked rows.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from . import linalg as _la
 from . import poly as _poly
-from .field import field_sqrt
 from .pencil import BinaryForm, Homography, INF, twist, verify_ip2s
-from .regular import canonicalize, descriptor_key
+from .regular import canonicalize, descriptor_key, place_key
 
 #: Hard ceiling on the intersected candidate set; beyond it the solver
 #: reports resource exhaustion rather than truncating.
@@ -37,18 +46,12 @@ def _signature_of_descriptor(F, desc):
     out = {}
     for place, e in exps.items():
         out.setdefault((_place_degree(place), e), []).append(place)
-    return {de: tuple(sorted(places, key=lambda p: _place_key(F, p)))
+    return {de: tuple(sorted(places, key=lambda p: place_key(F, p)))
             for de, places in out.items()}
 
 
 def _place_degree(place):
     return 1 if place is INF else _poly.poly_deg(place)
-
-
-def _place_key(F, place):
-    if place is INF:
-        return (0, ())
-    return (1, _poly.poly_sort_key(F, place))
 
 
 def _point_key(F, x):
@@ -90,258 +93,80 @@ def _maps_onto(F, g, src_places, dst_places):
     return True
 
 
-# -- projective invariants --------------------------------------------------
-
-
-def cross_ratio(F, a, b, c, d):
-    """Cross ratio (a-c)(b-d) / ((a-d)(b-c)) of four distinct points,
-    with the usual limits when one of them is INF."""
-    if a is INF:
-        num, den = F.sub(b, d), F.sub(b, c)
-    elif b is INF:
-        num, den = F.sub(a, c), F.sub(a, d)
-    elif c is INF:
-        num, den = F.sub(b, d), F.sub(a, d)
-    elif d is INF:
-        num, den = F.sub(a, c), F.sub(b, c)
-    else:
-        num = F.mul(F.sub(a, c), F.sub(b, d))
-        den = F.mul(F.sub(a, d), F.sub(b, c))
-    return F.div(num, den)
-
-
-def j_invariant(F, lam):
-    """(lam^2 - lam + 1)^3 / (lam^2 (1 - lam)^2): collapses the six
-    cross ratios of an unordered 4-point set to a single value."""
-    if F.p in (2, 3):
-        raise ValueError("the 4-point invariant needs characteristic >= 5")
-    lam2 = F.mul(lam, lam)
-    num = F.add(F.sub(lam2, lam), F.one)
-    num = F.mul(F.mul(num, num), num)
-    den = F.mul(lam2, F.mul(F.sub(F.one, lam), F.sub(F.one, lam)))
-    return F.div(num, den)
-
-
-# -- homography construction -------------------------------------------------
-
-
-def _to_standard(F, a, b, c):
-    """Homography sending the distinct triple (a, b, c) to (INF, 0, 1)."""
-    if a is INF:
-        m = ((F.one, F.neg(b)), (F.zero, F.sub(c, b)))
-    elif b is INF:
-        m = ((F.zero, F.sub(c, a)), (F.one, F.neg(a)))
-    elif c is INF:
-        m = ((F.one, F.neg(b)), (F.one, F.neg(a)))
-    else:
-        ca, cb = F.sub(c, a), F.sub(c, b)
-        m = ((ca, F.neg(F.mul(b, ca))), (cb, F.neg(F.mul(a, cb))))
-    return Homography.make(F, m)
-
-
-def _pair_to_standard(F, a, b):
-    """Some homography sending the distinct pair (a, b) to (INF, 0)."""
-    if a is INF:
-        m = ((F.one, F.neg(b)), (F.zero, F.one))
-    elif b is INF:
-        m = ((F.zero, F.one), (F.one, F.neg(a)))
-    else:
-        m = ((F.one, F.neg(b)), (F.one, F.neg(a)))
-    return Homography.make(F, m)
-
-
-def homography_from_triples(F, src, dst):
-    """The unique homography with g(src[i]) = dst[i] for two triples of
-    distinct points."""
-    ms = _to_standard(F, *src)
-    md = _to_standard(F, *dst)
-    return md.inverse().compose(ms)
+# -- linear pinning -----------------------------------------------------------
 
 
 def _homography_key(F, g):
     return tuple(F.sort_key(e) for row in g.m for e in row)
 
 
-def _descend_homography(F, K, g):
-    """Rewrite a homography over the extension K with entries in the base
-    field F, or None when an entry fails to be rational."""
-    rows = []
-    for row in g.m:
-        out = []
-        for e in row:
-            if any(c != F.zero for c in e[1:]):
-                return None
-            out.append(e[0])
-        rows.append(tuple(out))
-    return Homography.make(F, tuple(rows))
+def _place_root(F, place):
+    """(K, x): the field holding the roots of a place, and one root as a
+    projective point over it.  A rational place is a point of F, with INF
+    = (1:0); otherwise K = F.extension(place) and x is the class of t."""
+    if place is INF:
+        return F, (F.one, F.zero)
+    if _poly.poly_deg(place) == 1:
+        return F, (F.neg(place[0]), F.one)
+    K = F.extension(place)
+    return K, ((F.zero, F.one) + (F.zero,) * (K.deg - 2), K.one)
 
 
-def _all_homographies(F):
-    """All of PGL_2(F_q), each matrix normalized, in a fixed order."""
-    one, zero = F.one, F.zero
-    for b in F.elements():
-        for d in F.elements():
-            bd = F.mul(b, d)
-            for e in F.elements():
-                if e != bd:
-                    yield Homography(F, ((one, b), (d, e)))
-    for d in F.elements():
-        if d == zero:
+def _target_roots(F, K, place):
+    """Every root in K of a place of the same degree as K over F."""
+    if K is F:
+        return [_place_root(F, place)[1]]
+    return [(y, K.one)
+            for y in _poly.poly_roots(K, tuple(K.lift(c) for c in place))]
+
+
+def _pin_rows(F, K, x, y):
+    """Rows over F of the condition that g sends x to y."""
+    (x0, x1), (y0, y1) = x, y
+    coeffs = (K.mul(x0, y1), K.mul(x1, y1),
+              K.neg(K.mul(x0, y0)), K.neg(K.mul(x1, y0)))
+    return (coeffs,) if K is F else tuple(zip(*coeffs))
+
+
+def _combinations(F, lead, multiples):
+    """lead plus one vector from each list in multiples, every way."""
+    if not multiples:
+        yield lead
+        return
+    for m in multiples[0]:
+        yield from _combinations(F, tuple(map(F.add, lead, m)),
+                                 multiples[1:])
+
+
+def _projective_homographies(F, basis):
+    """The invertible projective points of the span of basis, vectors
+    (a, b, d, e), as homographies: each basis vector plus every
+    combination of the vectors after it."""
+    elems = list(F.elements())
+    multiples = [[tuple(F.mul(c, t) for t in w) for c in elems]
+                 for w in basis[1:]]
+    for i, lead in enumerate(basis):
+        for a, b, d, e in _combinations(F, lead, multiples[i:]):
+            if F.mul(a, e) != F.mul(b, d):
+                yield Homography.make(F, ((a, b), (d, e)))
+
+
+def _pinned(F, pins):
+    """Every homography sending the root of each pinning place to a root
+    of one of its options, distinct places to distinct options.  pins
+    lists (place, options); with no pins this is all of PGL_2(F)."""
+    blocks = []
+    for place, opts in pins:
+        K, x = _place_root(F, place)
+        blocks.append({t: [_pin_rows(F, K, x, y)
+                           for y in _target_roots(F, K, t)] for t in opts})
+    for targets in itertools.product(*blocks):
+        if len(set(targets)) < len(targets):
             continue
-        for e in F.elements():
-            yield Homography(F, ((zero, one), (d, e)))
-
-
-# -- pinning strategies -------------------------------------------------------
-
-
-def _quad_roots(F, K, h):
-    """Both roots in K of a monic quadratic irreducible over F, the
-    lexicographically smaller one first."""
-    half = K.inv(K.lift(F.scalar(2)))
-    disc = F.sub(F.mul(h[1], h[1]), F.mul(F.scalar(4), h[0]))
-    sq = field_sqrt(K, K.lift(disc))
-    nb = K.lift(F.neg(h[1]))
-    r0 = K.mul(half, K.add(nb, sq))
-    r1 = K.mul(half, K.sub(nb, sq))
-    return sorted((r0, r1), key=K.sort_key)
-
-
-def _point_triple_candidates(F, xs, opts):
-    """Three rational points with independent image option lists pin the
-    homography; opts[i] lists the admissible images of xs[i]."""
-    for y1 in opts[0]:
-        for y2 in opts[1]:
-            if y2 == y1:
-                continue
-            for y3 in opts[2]:
-                if y3 == y1 or y3 == y2:
-                    continue
-                yield homography_from_triples(F, xs, (y1, y2, y3))
-
-
-def _mixed_candidates(F, x1, g1, opts_pt, opts_quad):
-    """One rational point and one conjugate root pair pin the homography,
-    two Frobenius assignments per target quadratic."""
-    K = F.extension(g1)
-    q0 = F.q
-    r = (F.zero, F.one)
-    rc = K.pow(r, q0)
-    xk = INF if x1 is INF else K.lift(x1)
-    for y in opts_pt:
-        yk = INF if y is INF else K.lift(y)
-        for h in opts_quad:
-            t = _quad_roots(F, K, h)[0]
-            tc = K.pow(t, q0)
-            for s, sc in ((t, tc), (tc, t)):
-                gk = homography_from_triples(K, (xk, r, rc), (yk, s, sc))
-                g = _descend_homography(F, K, gk)
-                if g is not None:
-                    yield g
-
-
-def _quad_pair_candidates(F, g1, g2, opts1, opts2):
-    """Two conjugate root pairs give four points of the quadratic
-    extension; each of the four Frobenius assignments pins one
-    homography, and for p >= 5 target pairs are pruned by the 4-point
-    invariant first."""
-    K = F.extension(g1)
-    q0 = F.q
-    r1 = (F.zero, F.one)
-    r1c = K.pow(r1, q0)
-    r2 = _quad_roots(F, K, g2)[0]
-    r2c = K.pow(r2, q0)
-    use_j = F.p >= 5
-    if use_j:
-        j_src = j_invariant(K, cross_ratio(K, r1, r1c, r2, r2c))
-    roots = {}
-    for h in set(opts1) | set(opts2):
-        roots[h] = _quad_roots(F, K, h)[0]
-    for h1 in opts1:
-        t1 = roots[h1]
-        t1c = K.pow(t1, q0)
-        for h2 in opts2:
-            if h2 == h1:
-                continue
-            t2 = roots[h2]
-            t2c = K.pow(t2, q0)
-            if use_j:
-                j_dst = j_invariant(K, cross_ratio(K, t1, t1c, t2, t2c))
-                if j_dst != j_src:
-                    continue
-            for s1, s1c in ((t1, t1c), (t1c, t1)):
-                for s2 in (t2, t2c):
-                    gk = homography_from_triples(
-                        K, (r1, r1c, r2), (s1, s1c, s2))
-                    g = _descend_homography(F, K, gk)
-                    if g is not None:
-                        yield g
-
-
-def _orbit_candidates(F, d, g1, opts):
-    """A place of degree >= 3 pins the homography up to the d rotations
-    of a Galois orbit in the degree-d extension."""
-    K = F.extension(g1)
-    q0 = F.q
-    zeta = tuple(F.one if i == 1 else F.zero for i in range(d))
-    xs = [zeta]
-    for _ in range(2):
-        xs.append(K.pow(xs[-1], q0))
-    for h in opts:
-        hk = tuple(K.lift(c) for c in h)
-        tau = _poly.poly_roots(K, hk)[0]
-        orbit = [tau]
-        for _ in range(d - 1):
-            orbit.append(K.pow(orbit[-1], q0))
-        for i in range(d):
-            y = (orbit[i], orbit[(i + 1) % d], orbit[(i + 2) % d])
-            gk = homography_from_triples(K, tuple(xs), y)
-            g = _descend_homography(F, K, gk)
-            if g is not None:
-                yield g
-
-
-def _split_torus_candidates(F, x1, x2, opts1, opts2):
-    """Two rational points pin the homography up to the split torus of
-    maps fixing INF and 0; all q - 1 scalings are enumerated per image
-    assignment."""
-    ms = _pair_to_standard(F, x1, x2)
-    units = [x for x in F.elements() if x != F.zero]
-    for y1 in opts1:
-        for y2 in opts2:
-            if y2 == y1:
-                continue
-            mdinv = _pair_to_standard(F, y1, y2).inverse()
-            for t in units:
-                scale = Homography.make(F, ((t, F.zero), (F.zero, F.one)))
-                yield mdinv.compose(scale.compose(ms))
-
-
-def _nonsplit_torus_candidates(F, g1, opts):
-    """A single conjugate root pair pins the homography up to the
-    nonsplit torus; its q + 1 rational elements are parametrized by the
-    norm-one scalings t = c^(q-1), plus the conjugate-swapping coset."""
-    K = F.extension(g1)
-    q0 = F.q
-    r = (F.zero, F.one)
-    rc = K.pow(r, q0)
-    ms = _pair_to_standard(K, r, rc)
-    swap = Homography.make(K, ((K.zero, K.one), (K.one, K.zero)))
-    ts = [K.one]
-    for a in F.elements():
-        c = K.add(r, K.lift(a))
-        ts.append(K.div(K.pow(c, q0), c))
-    for h in opts:
-        t0 = _quad_roots(F, K, h)[0]
-        t0c = K.pow(t0, q0)
-        mdinv = _pair_to_standard(K, t0, t0c).inverse()
-        for t in ts:
-            scale = Homography.make(K, ((t, K.zero), (K.zero, K.one)))
-            for gk in (mdinv.compose(scale.compose(ms)),
-                       mdinv.compose(swap.compose(scale.compose(ms)))):
-                g = _descend_homography(F, K, gk)
-                if g is not None:
-                    yield g
+        for rows in itertools.product(
+                *(b[t] for b, t in zip(blocks, targets))):
+            basis = _la.nullspace(F, sum(rows, ()), ncols=4)
+            yield from _projective_homographies(F, basis)
 
 
 # -- the solver ---------------------------------------------------------------
@@ -349,7 +174,7 @@ def _nonsplit_torus_candidates(F, g1, opts):
 
 def _candidate_pool(F, sig_src, sig_dst):
     """Candidates mapping the places of sig_src onto those of sig_dst,
-    generated by the cheapest complete pinning strategy and filtered by
+    pinned by the cheapest complete choice of places and filtered by
     every place class."""
     if not sig_src:
         raise ValueError("no places pin a homography; the pencils are "
@@ -370,51 +195,36 @@ def _candidate_pool(F, sig_src, sig_dst):
     def size(item):
         return len(sig_dst[item[1]])
 
-    def points(de):
-        return tuple(_place_point(F, p) for p in sig_dst[de])
-
-    # (cost, generator, its arguments after F), appended in tie-break order
+    # (cost, pinning (place, class) items), appended in tie-break order:
+    # a point triple, a point and a root pair, two root pairs, a Galois
+    # orbit, the split torus, the nonsplit torus, the PGL_2 sweep
     strategies = []
     if len(rats) >= 3:
-        strategies.append((
-            size(rats[0]) * size(rats[1]) * size(rats[2]),
-            _point_triple_candidates,
-            (tuple(_place_point(F, p) for p, _ in rats[:3]),
-             tuple(points(de) for _, de in rats[:3]))))
+        strategies.append(
+            (size(rats[0]) * size(rats[1]) * size(rats[2]), rats[:3]))
     if rats and quads:
-        strategies.append((
-            2 * size(rats[0]) * size(quads[0]), _mixed_candidates,
-            (_place_point(F, rats[0][0]), quads[0][0], points(rats[0][1]),
-             sig_dst[quads[0][1]])))
+        strategies.append(
+            (2 * size(rats[0]) * size(quads[0]), [rats[0], quads[0]]))
     if len(quads) >= 2:
-        strategies.append((
-            4 * size(quads[0]) * size(quads[1]), _quad_pair_candidates,
-            (quads[0][0], quads[1][0], sig_dst[quads[0][1]],
-             sig_dst[quads[1][1]])))
+        strategies.append((4 * size(quads[0]) * size(quads[1]), quads[:2]))
     orbits = [(de[0] * len(sig_src[de]), de)
               for de in sorted(sig_src) if de[0] >= 3]
     if orbits:
         cost, de = min(orbits, key=lambda o: o[0])
-        strategies.append((cost, _orbit_candidates,
-                           (de[0], sig_src[de][0], sig_dst[de])))
+        strategies.append((cost, [(sig_src[de][0], de)]))
     if len(rats) >= 2:
-        strategies.append((
-            size(rats[0]) * size(rats[1]) * (q - 1), _split_torus_candidates,
-            (_place_point(F, rats[0][0]), _place_point(F, rats[1][0]),
-             points(rats[0][1]), points(rats[1][1]))))
+        strategies.append((size(rats[0]) * size(rats[1]) * (q - 1), rats[:2]))
     if quads:
-        strategies.append((2 * (q + 1) * size(quads[0]),
-                           _nonsplit_torus_candidates,
-                           (quads[0][0], sig_dst[quads[0][1]])))
+        strategies.append((2 * (q + 1) * size(quads[0]), quads[:1]))
     if q ** 3 - q <= SWEEP_BUDGET:
-        strategies.append((q ** 3 - q, _all_homographies, ()))
+        strategies.append((q ** 3 - q, []))
     if not strategies:
         raise ValueError("too few places pin a homography and the field "
                          "is too large to sweep")
-    cost, generate, args = min(strategies, key=lambda s: s[0])
+    cost, pins = min(strategies, key=lambda s: s[0])
     if cost > SWEEP_BUDGET:
         raise ValueError("candidate enumeration exceeds the search budget")
-    pool = generate(F, *args)
+    pool = _pinned(F, [(p, sig_dst[de]) for p, de in pins])
     classes = sorted(sig_src)
     out = {}
     for g in pool:

@@ -113,7 +113,7 @@ def minimal_chain(P):
             A = _la.hstack(P.b_inf,
                            _la.mat_neg(F, _la.mat_mul(F, P.b_0, _cols(H))))
             ker = _la.nullspace(F, A)
-            H = _la.span_basis(F, [v[:n] for v in ker], ncols=n)
+            H = _la.span_basis(F, [v[:n] for v in ker])
         else:
             H = _la.nullspace(F, P.b_inf, ncols=n)
 

@@ -243,12 +243,12 @@ def is_invertible(F, A):
     return len(A) == 0 or rank(F, A) == len(A)
 
 
-def span_basis(F, vectors, ncols=None):
+def span_basis(F, vectors):
     """Canonical basis of the span of the given row vectors."""
-    vecs = [v for v in vectors]
+    vecs = tuple(vectors)
     if not vecs:
         return ()
-    R, pivots = rref(F, tuple(vecs))
+    R, pivots = rref(F, vecs)
     return R[:len(pivots)]
 
 

@@ -46,12 +46,6 @@ class LocalRing:
     def from_field(self, a):
         return (a,) + (self.K.zero,) * (self.ell - 1)
 
-    def pi_pow(self, j):
-        if j >= self.ell:
-            return self.zero
-        K = self.K
-        return (K.zero,) * j + (K.one,) + (K.zero,) * (self.ell - 1 - j)
-
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a, b):
@@ -113,23 +107,6 @@ class LocalRing:
         return r
 
     # -- structure maps ----------------------------------------------------
-
-    def tau(self, a):
-        """The residual linear form: coefficient of pi^(ell-1)."""
-        return a[self.ell - 1]
-
-    def valuation(self, a):
-        """Index of the first nonzero coefficient; ell for zero."""
-        for i, c in enumerate(a):
-            if c != self.K.zero:
-                return i
-        return self.ell
-
-    def mul_pi(self, a, j=1):
-        K = self.K
-        if j >= self.ell:
-            return self.zero
-        return (K.zero,) * j + a[:self.ell - j]
 
     def div_pi(self, a, j=1):
         """Exact division by pi^j; the quotient is only defined mod

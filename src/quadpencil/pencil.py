@@ -57,12 +57,6 @@ class Pencil:
             raise ValueError("pencil matrices differ in size")
         return Pencil(ctx, len(b_inf), b_inf, b_0)
 
-    def at(self, lam, mu):
-        """Gram matrix lam*B_inf + mu*B_0."""
-        F = self.ctx
-        return _la.mat_add(F, _la.mat_scale(F, lam, self.b_inf),
-                           _la.mat_scale(F, mu, self.b_0))
-
 
 @dataclass(frozen=True)
 class BinaryForm:
@@ -85,18 +79,6 @@ class BinaryForm:
     def is_zero(self):
         F = self.ctx
         return all(c == F.zero for c in self.coeffs)
-
-    def evaluate(self, lam, mu):
-        F = self.ctx
-        acc = F.zero
-        lp = F.one
-        mups = [F.one]
-        for _ in range(self.degree):
-            mups.append(F.mul(mups[-1], mu))
-        for i, c in enumerate(self.coeffs):
-            acc = F.add(acc, F.mul(c, F.mul(lp, mups[self.degree - i])))
-            lp = F.mul(lp, lam)
-        return acc
 
     def normalized(self):
         """Scale so the first nonzero coefficient in lambda-descending
@@ -152,6 +134,8 @@ class Homography:
         if det == ctx.zero:
             raise ValueError("homography matrix is singular")
         for lead in (a, b, d, e):
+            if lead == ctx.one:
+                return Homography(ctx, ((a, b), (d, e)))
             if lead != ctx.zero:
                 inv = ctx.inv(lead)
                 return Homography(ctx, (

@@ -48,7 +48,7 @@ def infinite_split(P):
         img = _la.mat_mul(F, P.b_0, _la.transpose(w))
         A = _la.hstack(P.b_inf, _la.mat_neg(F, img))
         ker = _la.nullspace(F, A)
-        nw = _la.span_basis(F, [v[:n] for v in ker], ncols=n)
+        nw = _la.span_basis(F, [v[:n] for v in ker])
         if len(nw) == len(w):
             w = nw
             break
@@ -60,7 +60,7 @@ def infinite_split(P):
         wp = _la.nullspace(F, (), ncols=n)
     if len(w) + len(wp) != n:
         raise ValueError("pencil is singular")
-    if len(_la.span_basis(F, w + wp, ncols=n)) != n:
+    if len(_la.span_basis(F, w + wp)) != n:
         raise ValueError("pencil is singular")
     if w and _la.rank(F, _la.mat_mul(F, P.b_0, _la.transpose(w))) != len(w):
         raise ValueError("pencil is singular")
@@ -492,12 +492,16 @@ class _Entry:
     columns: tuple     # one column per canonical basis vector, reg coords
 
 
+def place_key(F, place):
+    """Sort key of a place: INF first, then the monic irreducibles in
+    poly_sort_key order."""
+    if place is INF:
+        return (0, ())
+    return (1, _poly.poly_sort_key(F, place))
+
+
 def _entry_key(F, e):
-    if e.place is INF:
-        pk = (0, ())
-    else:
-        pk = (1, _poly.poly_sort_key(F, e.place))
-    return pk + (e.ell, 0 if e.character == "1" else 1)
+    return place_key(F, e.place) + (e.ell, 0 if e.character == "1" else 1)
 
 
 def canonical_assemble(F, kron, entries):

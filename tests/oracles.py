@@ -1,15 +1,35 @@
-"""Reference oracles the tests compare the package against: place data
-read straight off the characteristic form, and the exhaustive PGL_2
-sweep for the homographies relating two binary forms."""
+"""Reference oracles the tests compare the package against: pointwise
+evaluation of forms and pencils, place data read straight off the
+characteristic form, and the exhaustive PGL_2 sweep for the homographies
+relating two binary forms."""
 
+from quadpencil import linalg as la
 from quadpencil import poly as pl
-from quadpencil.ip2s import (SWEEP_BUDGET, _all_homographies, _place_key,
-                             _signature_of_descriptor, _candidate_pool)
-from quadpencil.pencil import INF, Pencil, char_poly
+from quadpencil.ip2s import (SWEEP_BUDGET, _signature_of_descriptor,
+                             _candidate_pool)
+from quadpencil.pencil import INF, Homography, Pencil, char_poly
+from quadpencil.regular import place_key
 
 
 def poly_from_ints(F, coeffs):
     return pl.poly_trim(F, [F.scalar(c) for c in coeffs])
+
+
+def form_at(f, lam, mu):
+    """The binary form f evaluated at the point (lam:mu)."""
+    F = f.ctx
+    acc = F.zero
+    for i, c in enumerate(f.coeffs):
+        term = F.mul(F.pow(lam, i), F.pow(mu, f.degree - i))
+        acc = F.add(acc, F.mul(c, term))
+    return acc
+
+
+def pencil_at(P, lam, mu):
+    """Gram matrix lam*B_inf + mu*B_0."""
+    F = P.ctx
+    return la.mat_add(F, la.mat_scale(F, lam, P.b_inf),
+                      la.mat_scale(F, mu, P.b_0))
 
 
 def factor_signature(P):
@@ -31,8 +51,24 @@ def factor_signature(P):
         for f, e in pl.poly_factor(F, affine):
             de = (pl.poly_deg(f), e)
             out[de] = out.get(de, ()) + (f,)
-    return {de: tuple(sorted(places, key=lambda p: _place_key(F, p)))
+    return {de: tuple(sorted(places, key=lambda p: place_key(F, p)))
             for de, places in out.items()}
+
+
+def all_homographies(F):
+    """All of PGL_2(F_q), each matrix normalized, in a fixed order."""
+    one, zero = F.one, F.zero
+    for b in F.elements():
+        for d in F.elements():
+            bd = F.mul(b, d)
+            for e in F.elements():
+                if e != bd:
+                    yield Homography(F, ((one, b), (d, e)))
+    for d in F.elements():
+        if d == zero:
+            continue
+        for e in F.elements():
+            yield Homography(F, ((zero, one), (d, e)))
 
 
 def bruteforce_homographies(f, g):
@@ -43,7 +79,7 @@ def bruteforce_homographies(f, g):
         raise ValueError("field too large for an exhaustive sweep")
     fn = f.normalized()
     gn = g.normalized()
-    return [gamma for gamma in _all_homographies(F)
+    return [gamma for gamma in all_homographies(F)
             if fn.compose(gamma).normalized() == gn]
 
 

@@ -1,4 +1,4 @@
-"""Homography recovery: invariants, pinning strategies, and the solver."""
+"""Homography recovery: place signatures, linear pinning, and the solver."""
 
 import itertools
 import random
@@ -9,59 +9,15 @@ from quadpencil.field import make_field
 from quadpencil import linalg as la
 from quadpencil import poly as pl
 from quadpencil import sampling as sp
-from quadpencil.ip2s import (cross_ratio, homography_from_triples,
-                             ip2s_solve, j_invariant, _all_homographies,
-                             _candidate_pool, _homography_key, _maps_onto,
-                             _signature_of_descriptor)
+from quadpencil.ip2s import (ip2s_solve, _candidate_pool, _homography_key,
+                             _maps_onto, _signature_of_descriptor)
 from quadpencil.pencil import (Pencil, BinaryForm, Homography, INF,
                                apply_congruence, char_poly, twist,
                                verify_ip2s)
 from quadpencil.regular import canonicalize
 
-from oracles import (bruteforce_homographies, candidate_pool,
-                     factor_signature, regular_form)
-
-
-def test_cross_ratio_oracle():
-    F = make_field(7)
-    assert cross_ratio(F, 0, 1, 2, 3) == 6
-    # limits at infinity: [inf, 0; 1, x] = x
-    for x in (2, 3, 4, 5):
-        assert cross_ratio(F, INF, 0, 1, x) == x
-
-
-def test_j_invariant_oracles():
-    F = make_field(7)
-    assert j_invariant(F, 6) == 5
-    # harmonic value 27/4 at lam = -1
-    assert j_invariant(F, F.neg(F.one)) == F.div(F.scalar(27), F.scalar(4))
-    F13 = make_field(13)
-    lam = 6
-    # the six cross ratios of an unordered set share one j
-    orbit = {lam, F13.inv(lam), F13.sub(F13.one, lam),
-             F13.inv(F13.sub(F13.one, lam)),
-             F13.div(lam, F13.sub(lam, F13.one)),
-             F13.div(F13.sub(lam, F13.one), lam)}
-    vals = {j_invariant(F13, mu) for mu in orbit}
-    assert len(vals) == 1
-    F3 = make_field(3)
-    with pytest.raises(ValueError):
-        j_invariant(F3, 2)
-
-
-def test_j_of_points_order_and_homography_invariant():
-    rng = random.Random(11)
-    for q in (7, 13):
-        F = make_field(q)
-        pts_all = list(F.elements()) + [INF]
-        for _ in range(20):
-            pts = tuple(rng.sample(pts_all, 4))
-            j = j_invariant(F, cross_ratio(F, *pts))
-            perm = tuple(rng.sample(pts, 4))
-            assert j_invariant(F, cross_ratio(F, *perm)) == j
-            g = sp.rand_homography(F, rng)
-            moved = tuple(g.apply_point(x) for x in pts)
-            assert j_invariant(F, cross_ratio(F, *moved)) == j
+from oracles import (all_homographies, bruteforce_homographies,
+                     candidate_pool, factor_signature, regular_form)
 
 
 def test_factor_signature_oracles():
@@ -91,20 +47,6 @@ def test_signature_agrees_with_descriptor():
                         == _signature_of_descriptor(F, canonicalize(P)))
 
 
-def test_homography_from_triples_property():
-    rng = random.Random(41)
-    for q in (5, 9):
-        F = make_field(q) if q != 9 else make_field(3, 2)
-        pts_all = list(F.elements()) + [INF]
-        for _ in range(25):
-            src = tuple(rng.sample(pts_all, 3))
-            dst = tuple(rng.sample(pts_all, 3))
-            g = homography_from_triples(F, src, dst)
-            for x, y in zip(src, dst):
-                img = g.apply_point(x)
-                assert (img is INF and y is INF) or img == y
-
-
 def _diag(F, vals):
     n = len(vals)
     return tuple(tuple(F.scalar(vals[i]) if i == j else F.zero
@@ -119,7 +61,7 @@ def _irreducibles(F, d):
 
 
 def _sweep(F, sig_src, sig_dst):
-    return {_homography_key(F, g) for g in _all_homographies(F)
+    return {_homography_key(F, g) for g in all_homographies(F)
             if all(_maps_onto(F, g, sig_src[de], sig_dst[de])
                    for de in sig_src)}
 
@@ -130,16 +72,20 @@ def _signature(F, places):
 
 
 def test_candidates_for_class_match_exhaustive_sweep():
-    for q in (5, 7):
-        F = make_field(q)
+    # over F_9 the points are tuples and the pinning places of degree 2
+    # and 3 live in a tower over F_3
+    for F in (make_field(3), make_field(5), make_field(7),
+              make_field(3, 2)):
+        x0, x1, x2 = ((F.scalar(c), F.one) for c in range(3))
         quads = list(itertools.islice(_irreducibles(F, 2), 2))
         cub = next(_irreducibles(F, 3))
-        for places in (((0, 1), (1, 1), (F.neg(2), 1)),  # point triple
+        for places in ((x0, x1, x2),       # point triple
                        tuple(quads),       # two conjugate root pairs
                        (cub,),             # pinned up to orbit rotation
-                       ((0, 1), quads[0]),  # a point and a root pair
-                       ((0, 1), (1, 1)),   # split torus
-                       (quads[0],)):       # nonsplit torus
+                       (x0, quads[0]),     # a point and a root pair
+                       (x0, x1),           # split torus
+                       (quads[0],),        # nonsplit torus
+                       (x0,)):             # nothing pins: PGL_2 sweep
             sig = _signature(F, places)
             got = _candidate_pool(F, sig, sig)
             assert {_homography_key(F, g) for g in got} == _sweep(F, sig, sig)

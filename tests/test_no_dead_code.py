@@ -1,7 +1,8 @@
-"""Every module-level function in the package is used by the package or
-exported, and every exported name resolves."""
+"""Every module-level function and class method in the package is used by
+the package or exported, and every exported name resolves."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 
@@ -9,30 +10,49 @@ import quadpencil
 
 SRC = pathlib.Path(quadpencil.__file__).parent
 
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _reads(node, skip):
+    """Names and attribute names read under node, other than skip."""
+    names, attrs = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id != skip:
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and sub.attr != skip:
+            attrs.add(sub.attr)
+    return names, attrs
+
 
 def _defs_and_uses():
-    """(file, name) of every module-level function, and every name or
-    attribute the package reads outside the defining function's body."""
-    defs = []
-    uses = set()
+    """(file, name) of every module-level function, (file, class, name)
+    of every method, every name or attribute the package reads outside
+    the defining function's body, and the attribute names alone (a method
+    is only reached through an attribute)."""
+    funcs, methods = [], []
+    uses, attr_uses = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.append((path.name, node.name))
         for top in tree.body:
-            owner = (top.name if isinstance(
-                top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    uses.add(name)
-    return defs, uses
+            if isinstance(top, _FUNCS):
+                funcs.append((path.name, top.name))
+                parts = [(top, top.name)]
+            elif isinstance(top, ast.ClassDef):
+                parts = []
+                for node in top.body:
+                    if isinstance(node, _FUNCS):
+                        methods.append((path.name, top.name, node.name))
+                        parts.append((node, node.name))
+                    else:
+                        parts.append((node, None))
+                parts.extend((b, None) for b in top.bases + top.decorator_list)
+            else:
+                parts = [(top, None)]
+            for node, owner in parts:
+                names, attrs = _reads(node, owner)
+                uses |= names | attrs
+                attr_uses |= attrs
+    return funcs, methods, uses, attr_uses
 
 
 def _exported():
@@ -47,11 +67,26 @@ def _exported():
     return out
 
 
+def _overrides(mod, cls, name):
+    """True when the method replaces one inherited from a base class,
+    which calls it by contract (argparse calls _Parser.error)."""
+    klass = getattr(importlib.import_module("quadpencil." + mod[:-3]), cls)
+    return any(hasattr(base, name) for base in klass.__mro__[1:])
+
+
 def test_every_module_function_is_used_or_exported():
-    defs, uses = _defs_and_uses()
+    funcs, _, uses, _ = _defs_and_uses()
     exported = _exported()
-    dead = ["%s:%s" % (mod, name) for mod, name in defs
+    dead = ["%s:%s" % (mod, name) for mod, name in funcs
             if name not in uses and name not in exported]
+    assert dead == []
+
+
+def test_every_method_is_used():
+    _, methods, _, attr_uses = _defs_and_uses()
+    dead = ["%s:%s.%s" % (mod, cls, name) for mod, cls, name in methods
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in attr_uses and not _overrides(mod, cls, name)]
     assert dead == []
 
 
