@@ -1,10 +1,14 @@
 """Pencil equivalence up to reparametrization of the projective line.
 
 The two-secret problem asks for an invertible S and a homography g with
-S^t (twist(A, g)) S = B.  Determinants force g to carry the places of
-B's characteristic form onto those of A with matching exponents, so a
-finite candidate set is pinned down from the factored place data and
-each survivor is checked by the one-sided solver on the full pencils.
+S^t (twist(A, g)) S = B.  Twisting moves no subspace: the primary
+component of twist(A, g) at a place is A's component at the image of
+that place under g, with the same module structure, and scaling the
+pencil changes only square-class characters.  So g must carry each place
+of B onto a place of A of the same degree and the same layer ranks (the
+number of free layers of each nilpotency order ell).  A finite candidate
+set is pinned down from these place classes and each survivor is checked
+by the one-sided solver on the full pencils.
 
 Pinning is linear algebra over the base field.  "g = ((a, b), (d, e))
 sends (x0:x1) to (y0:y1)" is the condition (a x0 + b x1) y1 - (d x0 +
@@ -36,16 +40,22 @@ SWEEP_BUDGET = 1_000_000
 
 
 def _signature_of_descriptor(F, desc):
-    """Places of the characteristic form bucketed by degree and exponent:
-    a dict mapping (d, e) to a sorted tuple of places, each a monic
-    irreducible tuple or INF.  Read off a canonical descriptor, whose
-    local blocks carry every place with its layer multiplicities."""
-    exps = {}
+    """Places of the characteristic form bucketed by degree and layer
+    ranks: a dict mapping (d, ((ell, r_ell), ...)) to a sorted tuple of
+    places, each a monic irreducible tuple or INF.  r_ell counts the free
+    layers of order ell at the place, of either character, ell ascending.
+    A twist and a scalar carry a place to a place with the same degree
+    and layer ranks, but may change the characters, so those are left
+    out.  Read off a canonical descriptor, whose local blocks carry every
+    place with its layer multiplicities."""
+    ranks = {}
     for b in desc.local_blocks:
-        exps[b.place] = exps.get(b.place, 0) + b.ell * b.mult
+        layers = ranks.setdefault(b.place, {})
+        layers[b.ell] = layers.get(b.ell, 0) + b.mult
     out = {}
-    for place, e in exps.items():
-        out.setdefault((_place_degree(place), e), []).append(place)
+    for place, layers in ranks.items():
+        key = (_place_degree(place), tuple(sorted(layers.items())))
+        out.setdefault(key, []).append(place)
     return {de: tuple(sorted(places, key=lambda p: place_key(F, p)))
             for de, places in out.items()}
 
@@ -197,7 +207,8 @@ def _candidate_pool(F, sig_src, sig_dst):
 
     # (cost, pinning (place, class) items), appended in tie-break order:
     # a point triple, a point and a root pair, two root pairs, a Galois
-    # orbit, the split torus, the nonsplit torus, the PGL_2 sweep
+    # orbit, the split torus, the nonsplit torus, a lone point, the PGL_2
+    # sweep
     strategies = []
     if len(rats) >= 3:
         strategies.append(
@@ -216,11 +227,12 @@ def _candidate_pool(F, sig_src, sig_dst):
         strategies.append((size(rats[0]) * size(rats[1]) * (q - 1), rats[:2]))
     if quads:
         strategies.append((2 * (q + 1) * size(quads[0]), quads[:1]))
+    if rats:
+        strategies.append((size(rats[0]) * (q * q + q + 1), rats[:1]))
     if q ** 3 - q <= SWEEP_BUDGET:
         strategies.append((q ** 3 - q, []))
-    if not strategies:
-        raise ValueError("too few places pin a homography and the field "
-                         "is too large to sweep")
+    # every place is a point, a root pair or an orbit, so one entry above
+    # applies
     cost, pins = min(strategies, key=lambda s: s[0])
     if cost > SWEEP_BUDGET:
         raise ValueError("candidate enumeration exceeds the search budget")
@@ -254,11 +266,10 @@ def ip2s_solve(A, B):
     sig_a = _signature_of_descriptor(F, da)
     sig_b = _signature_of_descriptor(F, db)
     key_b = descriptor_key(db)
-    inv_tb = _la.inv(F, db.transform)
     if not sig_b:
         if descriptor_key(da) != key_b:
             return None
-        S = _la.mat_mul(F, da.transform, inv_tb)
+        S = _la.mat_mul(F, da.transform, _la.inv(F, db.transform))
         g = Homography.identity(F)
         if not verify_ip2s(A, B, S, g):
             raise AssertionError("transforms disagree on a fully "
@@ -268,7 +279,7 @@ def ip2s_solve(A, B):
         dt = canonicalize(twist(A, g))
         if descriptor_key(dt) != key_b:
             continue
-        S = _la.mat_mul(F, dt.transform, inv_tb)
+        S = _la.mat_mul(F, dt.transform, _la.inv(F, db.transform))
         if not verify_ip2s(A, B, S, g):
             raise AssertionError("canonical transforms disagree on the "
                                  "twisted pencil")

@@ -33,8 +33,18 @@ def pencil_at(P, lam, mu):
 
 
 def factor_signature(P):
-    """Places of the characteristic form bucketed by degree and exponent,
-    by factoring it directly; the pencil must be regular."""
+    """Places of the characteristic form bucketed by degree and layer
+    ranks, by factoring the form directly and reading each place's
+    ranks off kernel dimensions; the pencil must be regular.
+
+    Take a rational point (alpha:beta) off the places, INF first, so
+    that M = alpha B_inf + beta B_0 is invertible, and c = -M^{-1} N with
+    N = B_0 when the point is INF and N = B_inf otherwise.  With B_inf
+    invertible this is c = -B_inf^{-1} B_0, and with B_0 invertible the
+    same with the two forms swapped.  A place given as the binary form
+    f(lambda, mu) = sum f_i lambda^i mu^(d - i) becomes the matrix
+    g = f(alpha c + gamma, beta c + delta), (gamma:delta) being the point
+    that N stands for, and dim ker g^k = d * sum_ell min(ell, k) r_ell."""
     F = P.ctx
     cp = char_poly(P)
     if cp.is_zero():
@@ -42,17 +52,41 @@ def factor_signature(P):
                          "singular part first")
     coeffs = cp.coeffs
     top = max(i for i, c in enumerate(coeffs) if c != F.zero)
-    out = {}
-    inf_exp = cp.degree - top
-    if inf_exp:
-        out[(1, inf_exp)] = (INF,)
+    places = []
+    if cp.degree - top:
+        places.append((INF, (F.one, F.zero), cp.degree - top))
     affine = pl.poly_trim(F, coeffs[:top + 1])
     if pl.poly_deg(affine) > 0:
-        for f, e in pl.poly_factor(F, affine):
-            de = (pl.poly_deg(f), e)
-            out[de] = out.get(de, ()) + (f,)
-    return {de: tuple(sorted(places, key=lambda p: place_key(F, p)))
-            for de, places in out.items()}
+        places += [(f, f, e) for f, e in pl.poly_factor(F, affine)]
+    for alpha, beta in [(F.one, F.zero)] + [(t, F.one) for t in F.elements()]:
+        minv = la.inv(F, pencil_at(P, alpha, beta))
+        if minv is not None:
+            break
+    else:
+        raise ValueError("every rational point is a place")
+    gamma, delta = (F.zero, F.one) if beta == F.zero else (F.one, F.zero)
+    c = la.mat_neg(F, la.mat_mul(F, minv, pencil_at(P, gamma, delta)))
+    eye = la.identity(F, P.n)
+    lam = la.mat_add(F, la.mat_scale(F, alpha, c), la.mat_scale(F, gamma, eye))
+    mu = la.mat_add(F, la.mat_scale(F, beta, c), la.mat_scale(F, delta, eye))
+    out = {}
+    for place, form, e in places:
+        d = len(form) - 1
+        g = la.zeros(F, P.n, P.n)
+        for i, fi in enumerate(form):
+            term = la.mat_mul(F, la.mat_pow(F, lam, i),
+                              la.mat_pow(F, mu, d - i))
+            g = la.mat_add(F, g, la.mat_scale(F, fi, term))
+        kdim = [P.n - la.rank(F, la.mat_pow(F, g, k)) for k in range(e + 2)]
+        # layers of order exactly ell: second difference of kdim
+        blocks = [(2 * kdim[ell] - kdim[ell - 1] - kdim[ell + 1]) // d
+                  for ell in range(1, e + 1)]
+        ranks = tuple((ell, r) for ell, r in enumerate(blocks, 1) if r)
+        if sum(ell * r for ell, r in ranks) != e:
+            raise AssertionError("layer ranks do not add up to the exponent")
+        out.setdefault((d, ranks), []).append(place)
+    return {de: tuple(sorted(ps, key=lambda p: place_key(F, p)))
+            for de, ps in out.items()}
 
 
 def all_homographies(F):
@@ -83,14 +117,19 @@ def bruteforce_homographies(f, g):
             if fn.compose(gamma).normalized() == gn]
 
 
-def regular_form(desc):
-    """Characteristic form of the regular part of a canonical pencil,
-    which sits after the Kronecker blocks."""
+def regular_part(desc):
+    """The regular part of a canonical pencil, which sits after the
+    Kronecker blocks."""
     P = desc.canonical
     idx = range(sum(2 * h + 1 for h in desc.kronecker_indices), P.n)
-    return char_poly(Pencil.make(
+    return Pencil.make(
         P.ctx, tuple(tuple(P.b_inf[i][j] for j in idx) for i in idx),
-        tuple(tuple(P.b_0[i][j] for j in idx) for i in idx)))
+        tuple(tuple(P.b_0[i][j] for j in idx) for i in idx))
+
+
+def regular_form(desc):
+    """Characteristic form of the regular part of a canonical pencil."""
+    return char_poly(regular_part(desc))
 
 
 def candidate_pool(F, da, db):

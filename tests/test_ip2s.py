@@ -9,6 +9,7 @@ from quadpencil.field import make_field
 from quadpencil import linalg as la
 from quadpencil import poly as pl
 from quadpencil import sampling as sp
+from quadpencil import ip2s
 from quadpencil.ip2s import (ip2s_solve, _candidate_pool, _homography_key,
                              _maps_onto, _signature_of_descriptor)
 from quadpencil.pencil import (Pencil, BinaryForm, Homography, INF,
@@ -17,7 +18,8 @@ from quadpencil.pencil import (Pencil, BinaryForm, Homography, INF,
 from quadpencil.regular import canonicalize
 
 from oracles import (all_homographies, bruteforce_homographies,
-                     candidate_pool, factor_signature, regular_form)
+                     candidate_pool, factor_signature, regular_form,
+                     regular_part)
 
 
 def test_factor_signature_oracles():
@@ -25,11 +27,21 @@ def test_factor_signature_oracles():
     # lambda^2 + 4 mu^2, irreducible place x^2 + 4
     P = Pencil.make(F, la.identity(F, 2), ((1, 3), (3, 6)))
     assert char_poly(P).coeffs == (4, 0, 1)
-    assert factor_signature(P) == {(2, 1): ((4, 0, 1),)}
-    # lambda mu (lambda + mu)^2 assembled from canonical blocks
+    assert factor_signature(P) == {(2, ((1, 1),)): ((4, 0, 1),)}
+    # lambda mu (lambda + mu)^2 assembled from canonical blocks; neither
+    # form is invertible, so the ranks are read at the point (1:1)
     Q = sp.assemble_blocks(F, blocks=((INF, 1, False), ((0, 1), 1, False),
                                       ((1, 1), 2, False)))
-    assert factor_signature(Q) == {(1, 1): (INF, (0, 1)), (1, 2): ((1, 1),)}
+    assert factor_signature(Q) == {(1, ((1, 1),)): (INF, (0, 1)),
+                                   (1, ((2, 1),)): ((1, 1),)}
+    # equal exponents, different layers: one ell = 2 layer at INF, two
+    # ell = 1 layers at 0, and at lambda + mu one of each order
+    R = sp.assemble_blocks(F, blocks=((INF, 2, False), ((0, 1), 1, False),
+                                      ((0, 1), 1, True), ((1, 1), 1, False),
+                                      ((1, 1), 2, True), ((1, 1), 2, False)))
+    assert factor_signature(R) == {(1, ((2, 1),)): (INF,),
+                                   (1, ((1, 2),)): ((0, 1),),
+                                   (1, ((1, 1), (2, 2))): ((1, 1),)}
     Z = Pencil.make(F, ((0,),), ((0,),))
     with pytest.raises(ValueError):
         factor_signature(Z)
@@ -45,6 +57,23 @@ def test_signature_agrees_with_descriptor():
                 P = sp.rand_regular_pencil(F, rng, n)
                 assert (factor_signature(P)
                         == _signature_of_descriptor(F, canonicalize(P)))
+    # one ell = 2 layer against two ell = 1 layers at equal exponent, at
+    # rational, infinite and quadratic places, with a Kronecker block
+    for q, deg in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        F = make_field(q, deg)
+        x0, x1 = ((F.scalar(c), F.one) for c in range(2))
+        quad = next(_irreducibles(F, 2))
+        for kron, blocks in (
+                ((), ((x0, 2, False), (x1, 1, False), (x1, 1, True))),
+                ((), ((INF, 2, True), (x0, 1, False), (x0, 1, False))),
+                ((), ((quad, 2, False), (x0, 1, True), (x0, 1, False),
+                      (x1, 1, False))),
+                ((), ((quad, 1, False), (quad, 1, True), (INF, 2, False))),
+                ((1,), ((x1, 2, False), (INF, 1, False), (INF, 1, True)))):
+            P = sp.planted_pencil(F, rng, kron, blocks)[0]
+            da = canonicalize(P)
+            reg = regular_part(da) if kron else P
+            assert factor_signature(reg) == _signature_of_descriptor(F, da)
 
 
 def _diag(F, vals):
@@ -85,13 +114,18 @@ def test_candidates_for_class_match_exhaustive_sweep():
                        (x0, quads[0]),     # a point and a root pair
                        (x0, x1),           # split torus
                        (quads[0],),        # nonsplit torus
-                       (x0,)):             # nothing pins: PGL_2 sweep
+                       (x0,),              # a lone point
+                       (x0, x1, x2, INF)): # one class of four points:
+                                           # the PGL_2 sweep at q = 3
             sig = _signature(F, places)
             got = _candidate_pool(F, sig, sig)
             assert {_homography_key(F, g) for g in got} == _sweep(F, sig, sig)
     F = make_field(5)
-    assert _candidate_pool(F, {(1, 1): ((0, 1),)},
-                           {(1, 1): ((0, 1), (1, 1))}) == ()
+    assert _candidate_pool(F, {(1, ((1, 1),)): ((0, 1),)},
+                           {(1, ((1, 1),)): ((0, 1), (1, 1))}) == ()
+    # same places, one ell = 2 layer against two ell = 1 layers
+    assert _candidate_pool(F, {(1, ((2, 1),)): ((0, 1),)},
+                           {(1, ((1, 2),)): ((0, 1),)}) == ()
 
 
 def _plant(F, rng, A):
@@ -125,6 +159,87 @@ def test_pool_oracle_on_singular_regular_parts():
     oracle = {_homography_key(F, g) for g in
               bruteforce_homographies(regular_form(da), regular_form(db))}
     assert pool == oracle
+
+
+def _layer_ranks(desc):
+    ranks = {}
+    for b in desc.local_blocks:
+        ranks[b.place, b.ell] = ranks.get((b.place, b.ell), 0) + b.mult
+    return ranks
+
+
+def test_pool_respects_layer_ranks_oracle():
+    # places of equal exponent whose layers differ: the pool is exactly
+    # the homographies relating the regular forms that also give twist(A,
+    # g) the layer ranks of B at every place
+    rng = random.Random(97)
+    for q, kron, blocks in (
+            (5, (), ((INF, 2, False), ((0, 1), 1, False),
+                     ((0, 1), 1, True), ((1, 1), 1, False),
+                     ((2, 1), 1, False))),
+            (5, (), (((0, 1), 2, True), ((1, 1), 1, False),
+                     ((1, 1), 1, False), ((2, 0, 1), 1, False))),
+            (7, (1,), ((INF, 1, False), (INF, 1, False), ((3, 1), 2, False),
+                       ((5, 1), 1, True))),
+            (7, (), (((0, 1), 2, False), ((1, 1), 1, False),
+                     ((1, 1), 1, True), ((2, 1), 2, True),
+                     ((3, 1), 1, False), ((3, 1), 1, False)))):
+        F = make_field(q)
+        A = sp.planted_pencil(F, rng, kron, blocks)[0]
+        B, g0 = _plant(F, rng, A)
+        da, db = canonicalize(A), canonicalize(B)
+        pool = {_homography_key(F, g) for g in candidate_pool(F, da, db)}
+        forms = bruteforce_homographies(regular_form(da), regular_form(db))
+        want = _layer_ranks(db)
+        oracle = {_homography_key(F, g) for g in forms
+                  if _layer_ranks(canonicalize(twist(A, g))) == want}
+        assert pool == oracle
+        assert _homography_key(F, g0) in pool
+        assert len(pool) < len(forms)
+
+
+def _count_canonicalize(monkeypatch):
+    calls = []
+
+    def counted(P):
+        calls.append(P)
+        return canonicalize(P)
+    monkeypatch.setattr(ip2s, "canonicalize", counted)
+    return calls
+
+
+def test_mixed_layer_pairs_are_rejected_before_any_candidate(monkeypatch):
+    # the non-equivalent shapes of the benchmark: one ell = 2 layer
+    # against two ell = 1 layers, with a split-torus pool at q = 103 and
+    # a nonsplit-torus pool at q = 31
+    rng = random.Random(101)
+    F = make_field(103)
+    split = (((7, 1), 2, False),), (((7, 1), 1, False), ((7, 1), 1, False))
+    rest = (((40, 1), 1, True),)
+    F31 = make_field(31)
+    quad = next(_irreducibles(F31, 2))
+    nonsplit = (((quad, 2, True),), ((quad, 1, True), (quad, 1, True)))
+    for K, (one, two), extra in ((F, split, rest), (F31, nonsplit, ())):
+        A = sp.planted_pencil(K, rng, (), one + extra)[0]
+        B = sp.planted_pencil(K, rng, (), two + extra)[0]
+        for X, Y in ((A, B), (B, A)):
+            calls = _count_canonicalize(monkeypatch)
+            assert ip2s_solve(X, Y) is None
+            assert len(calls) == 2
+
+
+def test_lone_rational_place_pins_one_point():
+    # one rational place of rank 2: q^3 - q exceeds the sweep budget, so
+    # only the single-point strategy pins a homography
+    F = make_field(103)
+    rng = random.Random(103)
+    for delta in (False, True):
+        A = sp.planted_pencil(F, rng, (), (((5, 1), 1, False),
+                                           ((5, 1), 1, delta)))[0]
+        B, _ = _plant(F, rng, A)
+        out = ip2s_solve(A, B)
+        assert out is not None
+        assert verify_ip2s(A, B, *out)
 
 
 def test_round_trip_planted_regular():
@@ -208,7 +323,7 @@ def test_large_field_nonsplit_torus_pinning():
     c = next(c for c in F.elements()
              if not F.is_square(F.add(F.mul(c, c), F.scalar(4))))
     A = Pencil.make(F, la.identity(F, 2), ((0, 1), (1, c)))
-    assert list(factor_signature(A)) == [(2, 1)]
+    assert list(factor_signature(A)) == [(2, ((1, 1),))]
     B, g0 = _plant(F, rng, A)
     pool = candidate_pool(F, canonicalize(A), canonicalize(B))
     assert _homography_key(F, g0) in {_homography_key(F, g) for g in pool}
