@@ -104,7 +104,7 @@ def _parse_poly(F, s):
 
 def parse_blocks(F, spec):
     """Planted-structure grammar: comma-separated K<h>,
-    L(<poly>,<ell>,<1|D>) and Linf(<ell>,<1|D>)."""
+    L(<poly>,<ell>,<1|D>) and Linf(<ell>,<1|D>), with ell >= 1."""
     kron, blocks = [], []
     for item in _split_top(spec):
         if re.fullmatch(r"K\d+", item):
@@ -112,20 +112,23 @@ def parse_blocks(F, spec):
             continue
         m = re.fullmatch(r"Linf\((\d+),(1|D)\)", item.replace(" ", ""))
         if m:
-            blocks.append((INF, int(m.group(1)), m.group(2) == "D"))
-            continue
-        m = re.fullmatch(r"L\((.+)\)", item)
-        if m:
+            place, ell_s, ch = INF, m.group(1), m.group(2)
+        else:
+            m = re.fullmatch(r"L\((.+)\)", item)
+            if not m:
+                raise ValueError("bad block item %r" % item)
             poly_s, ell_s, ch = (x.strip() for x in m.group(1).rsplit(",", 2))
             if ch not in ("1", "D"):
                 raise ValueError("block character must be 1 or D")
-            f = _poly.poly_monic(F, _parse_poly(F, poly_s))
-            if not _poly.is_irreducible(F, f):
+            place = _poly.poly_monic(F, _parse_poly(F, poly_s))
+            if not _poly.is_irreducible(F, place):
                 raise ValueError("place polynomial %r is not irreducible"
                                  % poly_s)
-            blocks.append((f, int(ell_s), ch == "D"))
-            continue
-        raise ValueError("bad block item %r" % item)
+        ell = int(ell_s)
+        if ell < 1:
+            raise ValueError("block order ell must be at least 1, not %d"
+                             % ell)
+        blocks.append((place, ell, ch == "D"))
     return tuple(kron), tuple(blocks)
 
 
@@ -135,6 +138,8 @@ def parse_blocks(F, spec):
 def cmd_gen(args):
     F = _field_from_args(args)
     rng = random.Random(args.seed)
+    if args.n is not None and args.n < 0:
+        raise ValueError("--n must be at least 0, not %d" % args.n)
     if args.blocks is not None:
         kron, blocks = parse_blocks(F, args.blocks)
         A, _ = sampling.planted_pencil(F, rng, kron, blocks)

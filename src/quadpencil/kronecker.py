@@ -97,25 +97,25 @@ def minimal_chain(P):
         history.append(H)
         h = len(history) - 1
         # intersection of span(H) with Ker B_0
-        if H:
-            A = _la.mat_mul(F, P.b_0, _cols(H))
-            coeffs = _la.nullspace(F, A)
-            if coeffs:
-                t = coeffs[0]
-                u = _la.mat_vec(F, _cols(H), t)
-                return _chain_from_tail(P, history, h, u)
+        img = _la.mat_mul(F, P.b_0, _cols(H))
+        coeffs = _la.nullspace(F, img)
+        if coeffs:
+            u = _la.mat_vec(F, _cols(H), coeffs[0])
+            return _chain_from_tail(P, history, h, u)
         if h > 0 and len(H) == len(history[h - 1]):
             return None  # fixpoint without isotropic vector: regular
         if h > n:
             raise AssertionError("chain search failed to stabilize")
-        # preimage step: v with B_inf v in B_0 span(H)
-        if H:
-            A = _la.hstack(P.b_inf,
-                           _la.mat_neg(F, _la.mat_mul(F, P.b_0, _cols(H))))
-            ker = _la.nullspace(F, A)
-            H = _la.span_basis(F, [v[:n] for v in ker])
-        else:
-            H = _la.nullspace(F, P.b_inf, ncols=n)
+        H = inf_preimage(P, img)
+
+
+def inf_preimage(P, img):
+    """Canonical basis, as row vectors, of the v with B_inf v in the
+    column span of img: with img = B_0 H, the step of the kernel towers
+    of minimal_chain and regular.infinite_split."""
+    F = P.ctx
+    A = _la.hstack(P.b_inf, _la.mat_neg(F, img))
+    return _la.span_basis(F, [v[:P.n] for v in _la.nullspace(F, A)])
 
 
 def _chain_from_tail(P, history, h, u_h):
@@ -276,20 +276,14 @@ def _clear_ff_block(F, T, h):
     return tuple(tuple(r) for r in corr)
 
 
-def normalize_kronecker(P_K, c):
-    """Congruence taking a pure Kronecker module exactly to K_h."""
-    F, h = P_K.ctx, c.h
-    if P_K.n != 2 * c.h + 1:
+def normalize_kronecker(P_K, h):
+    """Congruence taking a Kronecker module whose (e, *) rows already
+    match K_h, as split_kronecker leaves it, exactly to K_h."""
+    F = P_K.ctx
+    if P_K.n != 2 * h + 1:
         raise ValueError("not a Kronecker module: dimension mismatch")
-    S, h, m = _split_basis(P_K, c)
-    if m != 0:
-        raise AssertionError("unreachable: dimensions checked above")
-    T = congruent_pencil(P_K, S)
-    corr = _clear_ff_block(F, T, h)
-    S = _la.mat_mul(F, S, corr)
-    ref = kh_matrix(F, h)
-    out = congruent_pencil(P_K, S)
-    if out != ref:
+    S = _clear_ff_block(F, P_K, h)
+    if congruent_pencil(P_K, S) != kh_matrix(F, h):
         raise AssertionError("normalization did not reach K_h")
     return S
 
@@ -315,12 +309,7 @@ def kronecker_decompose(P):
         khw = 2 * c.h + 1
         module = _principal(T, range(khw))
         comp = _principal(T, range(khw, cur.n))
-        std_chain = IsotropicChain(c.h, tuple(
-            tuple((F.one if (i == j and i % 2 == 0) else
-                   (F.neg(F.one) if (i == j) else F.zero))
-                  for j in range(khw))
-            for i in range(c.h + 1)))
-        S_norm = normalize_kronecker(module, std_chain)
+        S_norm = normalize_kronecker(module, c.h)
         step = _la.mat_mul(F, S_split,
                            _la.block_diag(F, [S_norm, _la.identity(F, comp.n)]))
         done = n - cur.n
@@ -328,21 +317,16 @@ def kronecker_decompose(P):
                               _la.block_diag(F, [_la.identity(F, done), step]))
         indices.append(c.h)
         cur = comp
-    # stable-sort blocks ascending by index with a permutation congruence
+    # stable-sort blocks ascending by index: reorder the columns of S
     order = sorted(range(len(indices)), key=lambda i: (indices[i], i))
-    widths = [2 * h + 1 for h in indices]
-    offsets = []
-    off = 0
-    for w in widths:
-        offsets.append(off)
-        off += w
+    offsets = [0]
+    for h in indices:
+        offsets.append(offsets[-1] + 2 * h + 1)
     perm_cols = []
     for i in order:
-        perm_cols.extend(range(offsets[i], offsets[i] + widths[i]))
-    perm_cols.extend(range(off, n))
-    Pm = tuple(tuple(F.one if perm_cols[j] == i else F.zero
-                     for j in range(n)) for i in range(n))
-    S_total = _la.mat_mul(F, S_total, Pm)
+        perm_cols.extend(range(offsets[i], offsets[i + 1]))
+    perm_cols.extend(range(offsets[-1], n))
+    S_total = tuple(tuple(row[j] for j in perm_cols) for row in S_total)
     indices_sorted = tuple(sorted(indices))
     report = KroneckerReport(indices_sorted, S_total, cur)
     final = apply_congruence(P, S_total)

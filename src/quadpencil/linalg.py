@@ -1,9 +1,11 @@
-"""Exact linear algebra over field contexts, plus ring-context variants.
+"""Exact linear algebra over field and ring contexts.
 
-Matrices are tuples of row tuples of field elements; vectors are tuples.
-Every routine has a generic path driven by the context object and, for
-prime fields (int elements), a vectorized numpy int64 path.  With
-p < 2^16 and desk-scale n, all intermediate products stay below 2^63.
+Matrices are tuples of row tuples of elements; vectors are tuples.  Each
+operation has one generic path, driven by the context object, that works
+on any ring context with the field interface (extension fields and the
+truncated local rings alike; `is_unit` picks pivots).  Prime fields (int
+elements) take a vectorized numpy int64 path instead.  With p < 2^16 and
+desk-scale n, all intermediate products stay below 2^63.
 """
 
 from __future__ import annotations
@@ -61,18 +63,7 @@ def mat_mul(F, A, B):
         return ()
     if F.prime:
         return _from_np(_to_np(A) @ _to_np(B) % F.p)
-    Bt = tuple(zip(*B))
-    out = []
-    for ra in A:
-        row = []
-        for cb in Bt:
-            acc = F.zero
-            for x, y in zip(ra, cb):
-                if x != F.zero and y != F.zero:
-                    acc = F.add(acc, F.mul(x, y))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return ring_mat_mul(F, A, B)
 
 
 def mat_vec(F, A, v):
@@ -80,20 +71,14 @@ def mat_vec(F, A, v):
         return ()
     if F.prime:
         return tuple(int(x) for x in _to_np(A) @ np.array(v, dtype=np.int64) % F.p)
-    out = []
-    for row in A:
-        acc = F.zero
-        for x, y in zip(row, v):
-            if x != F.zero and y != F.zero:
-                acc = F.add(acc, F.mul(x, y))
-        out.append(acc)
-    return tuple(out)
+    return tuple(vec_dot(F, row, v) for row in A)
 
 
 def vec_dot(F, u, v):
     acc = F.zero
     for x, y in zip(u, v):
-        acc = F.add(acc, F.mul(x, y))
+        if x != F.zero and y != F.zero:
+            acc = F.add(acc, F.mul(x, y))
     return acc
 
 
@@ -229,6 +214,8 @@ def mat_solve(F, A, B):
 
 def inv(F, A):
     """Inverse matrix, or None when singular."""
+    if not F.prime:
+        return ring_inv(F, A)
     n = len(A)
     if n == 0:
         return ()
@@ -290,12 +277,9 @@ def berkowitz(ring, A):
         c = [ring.one, ring.neg(a)]
         w = list(S)
         for j in range(2, r + 1):
-            acc = ring.zero
-            for x, y in zip(R, w):
-                acc = ring.add(acc, ring.mul(x, y))
-            c.append(ring.neg(acc))
+            c.append(ring.neg(vec_dot(ring, R, w)))
             if j < r:
-                w = [ _ring_dot(ring, A[i][:r - 1], w) for i in range(r - 1) ]
+                w = [vec_dot(ring, A[i][:r - 1], w) for i in range(r - 1)]
         nv = []
         for i in range(r + 1):
             acc = ring.zero
@@ -304,13 +288,6 @@ def berkowitz(ring, A):
             nv.append(acc)
         v = nv
     return tuple(reversed(v))
-
-
-def _ring_dot(ring, row, w):
-    acc = ring.zero
-    for x, y in zip(row, w):
-        acc = ring.add(acc, ring.mul(x, y))
-    return acc
 
 
 def _berkowitz_np(A, p):
@@ -406,4 +383,4 @@ def ring_mat_mul(R, A, B):
     if not A or not B:
         return ()
     Bt = tuple(zip(*B))
-    return tuple(tuple(_ring_dot(R, ra, cb) for cb in Bt) for ra in A)
+    return tuple(tuple(vec_dot(R, ra, cb) for cb in Bt) for ra in A)

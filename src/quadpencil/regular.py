@@ -19,7 +19,7 @@ from . import linalg as _la
 from . import localring as _lr
 from . import poly as _poly
 from .field import field_nonsquare, field_sqrt, emit_elem
-from .kronecker import kh_matrix, kronecker_decompose
+from .kronecker import inf_preimage, kh_matrix, kronecker_decompose
 from .pencil import (INF, Pencil, apply_congruence, congruent_pencil,
                      verify_ip1s)
 
@@ -45,19 +45,13 @@ def infinite_split(P):
     F, n = P.ctx, P.n
     w = _la.nullspace(F, P.b_inf, ncols=n)
     while w:
-        img = _la.mat_mul(F, P.b_0, _la.transpose(w))
-        A = _la.hstack(P.b_inf, _la.mat_neg(F, img))
-        ker = _la.nullspace(F, A)
-        nw = _la.span_basis(F, [v[:n] for v in ker])
-        if len(nw) == len(w):
-            w = nw
-            break
+        nw = inf_preimage(P, _la.mat_mul(F, P.b_0, _la.transpose(w)))
+        grew = len(nw) != len(w)
         w = nw
-    if w:
-        rows = tuple(_la.mat_vec(F, P.b_0, v) for v in w)
-        wp = _la.nullspace(F, rows, ncols=n)
-    else:
-        wp = _la.nullspace(F, (), ncols=n)
+        if not grew:
+            break
+    rows = tuple(_la.mat_vec(F, P.b_0, v) for v in w)
+    wp = _la.nullspace(F, rows, ncols=n)
     if len(w) + len(wp) != n:
         raise ValueError("pencil is singular")
     if len(_la.span_basis(F, w + wp)) != n:
@@ -109,8 +103,9 @@ def primary_split(P):
 class LocalStructure:
     K: object           # residue field k[x]/f
     ell: int            # nilpotency order of pi
-    x_action: tuple     # semisimple part, an exact root of f
-    pi_action: tuple    # nilpotent part c - x_action
+    x_powers: tuple     # x^0 .. x^(d-1), x the semisimple part of c,
+                        # an exact root of f
+    pi_powers: tuple    # pi^0 .. pi^(ell-1), pi = c - x nilpotent
     layer_ranks: tuple  # ((order, count), ...) by descending order
     generators: tuple   # module generators, vectors in block coordinates
     orders: tuple       # pi-order of each generator, descending
@@ -141,15 +136,17 @@ def local_structure(block, f):
         raise ValueError("newton iteration did not converge; wrong factor")
     pi = _la.mat_sub(F, c, x)
     zero = _la.zeros(F, nf, nf)
-    ell, pw = 0, _la.identity(F, nf)
+    npows, pw = [], _la.identity(F, nf)
     while pw != zero:
-        if ell > m:
+        if len(npows) > m:
             raise ValueError("nilpotent part fails to vanish; wrong factor")
+        npows.append(pw)
         pw = _la.mat_mul(F, pw, pi)
-        ell += 1
-    ell = max(ell, 1)
+    ell = max(len(npows), 1)
     K = F.extension(f)
-    xpows = _power_list(F, x, d)
+    xpows = [_la.identity(F, nf)]
+    for _ in range(d - 1):
+        xpows.append(_la.mat_mul(F, xpows[-1], x))
     # greedy K-basis: orbits of standard vectors under the x action
     cols = []
     for t in range(nf):
@@ -199,14 +196,8 @@ def local_structure(block, f):
         raise AssertionError("kernel filtration miscounts the module")
     gens = tuple(kup(top) for top, _ in chains)
     orders = tuple(j for _, j in chains)
-    return LocalStructure(K, ell, x, pi, tuple(ranks), gens, orders)
-
-
-def _power_list(F, M, count):
-    out = [_la.identity(F, len(M))]
-    for _ in range(count - 1):
-        out.append(_la.mat_mul(F, out[-1], M))
-    return out
+    return LocalStructure(K, ell, tuple(xpows), tuple(npows), tuple(ranks),
+                          gens, orders)
 
 
 def _trace_dual_inverse(F, f):
@@ -238,8 +229,7 @@ def descend_bilinear(block, st):
     gens = st.generators
     r = len(gens)
     tr, Tinv = _trace_dual_inverse(F, K.modulus)
-    xpows = _power_list(F, st.x_action, d)
-    npows = _power_list(F, st.pi_action, ell)
+    xpows, npows = st.x_powers, st.pi_powers
     xg = [[_la.mat_vec(F, xpows[s], g) for s in range(d)] for g in gens]
     bn = [[_la.mat_vec(F, block.b_inf, _la.mat_vec(F, npows[i], g))
            for i in range(ell)] for g in gens]
@@ -468,6 +458,17 @@ def canonical_local_block(F, place, ell, delta):
     return Pencil.make(F, binf, b0)
 
 
+def assemble_blocks(F, kron=(), blocks=()):
+    """Block-diagonal pencil with the given Kronecker indices and local
+    blocks; each block is (place, ell, delta) with delta a bool."""
+    parts = [kh_matrix(F, h) for h in kron]
+    parts += [canonical_local_block(F, f, ell, delta)
+              for f, ell, delta in blocks]
+    binf = _la.block_diag(F, [p.b_inf for p in parts])
+    b0 = _la.block_diag(F, [p.b_0 for p in parts])
+    return Pencil.make(F, binf, b0)
+
+
 @dataclass(frozen=True)
 class LocalBlockDesc:
     place: object       # monic irreducible tuple, or INF
@@ -506,8 +507,8 @@ def _entry_key(F, e):
 
 def canonical_assemble(F, kron, entries):
     """Sort the local entries, merge them into block descriptors, and
-    assemble the canonical pencil and the full congruence.  Returns
-    (descriptor, canonical_pencil) without the final exactness check."""
+    assemble the canonical pencil and the full congruence.  Returns the
+    descriptor without the final exactness check."""
     entries = sorted(entries, key=lambda e: _entry_key(F, e))
     blocks = []
     for e in entries:
@@ -525,15 +526,8 @@ def canonical_assemble(F, kron, entries):
             if seen.get(key) or b.mult != 1:
                 raise AssertionError("more than one non-square per layer")
             seen[key] = True
-    kws = [2 * h + 1 for h in kron.indices]
-    kblocks = [kh_matrix(F, h) for h in kron.indices]
-    lblocks = [canonical_local_block(F, e.place, e.ell, e.character == "D")
-               for e in entries]
-    binf = _la.block_diag(F, [b.b_inf for b in kblocks]
-                          + [b.b_inf for b in lblocks])
-    b0 = _la.block_diag(F, [b.b_0 for b in kblocks]
-                        + [b.b_0 for b in lblocks])
-    canon = Pencil.make(F, binf, b0)
+    canon = assemble_blocks(F, kron.indices, [
+        (e.place, e.ell, e.character == "D") for e in entries])
     cols = []
     for e in entries:
         cols.extend(e.columns)
@@ -542,33 +536,32 @@ def canonical_assemble(F, kron, entries):
         raise AssertionError("local columns do not fill the regular part")
     if nr:
         sreg = _la.transpose(tuple(cols))
+        nk = sum(2 * h + 1 for h in kron.indices)
         total = _la.mat_mul(F, kron.transform, _la.block_diag(
-            F, [_la.identity(F, sum(kws)), sreg]))
+            F, [_la.identity(F, nk), sreg]))
     else:
         total = kron.transform
-    desc = CanonicalDescriptor(kron.indices, tuple(blocks), total, canon)
-    return desc, canon
+    return CanonicalDescriptor(kron.indices, tuple(blocks), total, canon)
 
 
 # -- the full pipeline ----------------------------------------------------
 
 
-def _apply_ring_transform(F, xpows, npows, gvecs, T, R):
-    """New generators sum_s op(T[s][t]) g_s where an R-element acts as
-    sum_{j,i} c_{j,i} pi^j zeta^i through the given power lists."""
-    d = len(xpows)
-    r = len(gvecs)
+def _apply_ring_transform(F, st, T):
+    """New generators sum_s op(T[s][t]) g_s from the generators g of st,
+    where an R_ell-element acts as sum_{j,i} c_{j,i} pi^j zeta^i through
+    the power lists of st."""
+    r = len(st.generators)
     tcount = len(T[0]) if T else 0
-    n = len(gvecs[0])
-    G = _la.transpose(tuple(gvecs))
-    acc = _la.zeros(F, n, tcount)
-    for j in range(R.ell):
-        for i in range(d):
+    G = _la.transpose(st.generators)
+    acc = _la.zeros(F, len(G), tcount)
+    for j in range(st.ell):
+        for i, xpow in enumerate(st.x_powers):
             C = tuple(tuple(T[s][t][j][i] for t in range(tcount))
                       for s in range(r))
             if all(x == F.zero for row in C for x in row):
                 continue
-            M = _la.mat_mul(F, _la.mat_mul(F, xpows[i], npows[j]),
+            M = _la.mat_mul(F, _la.mat_mul(F, xpow, st.pi_powers[j]),
                             _la.mat_mul(F, G, C))
             acc = _la.mat_add(F, acc, M)
     return tuple(_la.transpose(acc))
@@ -583,26 +576,21 @@ def _process_place(block, f, cfull, place):
     R, gram = descend_bilinear(block, st)
     layers = split_free_layers(R, gram, st.orders)
     K, d = st.K, st.K.deg
-    xpows = _power_list(F, st.x_action, d)
-    npows = _power_list(F, st.pi_action, st.ell)
+    xpows, npows = st.x_powers, st.pi_powers
     if d >= 2:
         zeta = (F.zero, F.one) + (F.zero,) * (d - 2)
     else:
         zeta = (F.neg(f[0]),)
     fp = _poly.poly_deriv(F, f)
     fpz = _poly.poly_eval(K, tuple(K.lift(c) for c in fp), zeta)
+    fns = not K.is_square(fpz)
+    winv = K.inv(fpz)
     entries = []
     for m, coeffcols, layer_gram in layers:
         Rm = _lr.LocalRing(K, m)
-        Tc = tuple(tuple(coeffcols[t][s] for t in range(len(coeffcols)))
-                   for s in range(len(st.generators)))
-        layer_gens = _apply_ring_transform(F, xpows, npows,
-                                           st.generators, Tc, R)
-        r = len(layer_gens)
+        r = len(coeffcols)
         shave, flag = diagonalize_unit(Rm, layer_gram)
-        fns = not K.is_square(fpz)
         delta_want = (fns and r % 2 == 1) != (flag == "D")
-        winv = K.inv(fpz)
         units = [K.one] * r
         if delta_want:
             units[-1] = field_nonsquare(K)
@@ -613,8 +601,12 @@ def _process_place(block, f, cfull, place):
         if flag2 != flag:
             raise AssertionError("display units land in the wrong class")
         sinv = _la.ring_inv(Rm, swant)
-        Tm = _la.ring_mat_mul(Rm, shave, sinv)
-        gens = _apply_ring_transform(F, xpows, npows, layer_gens, Tm, Rm)
+        Tm = tuple(tuple(R.lift_from(x) for x in row)
+                   for row in _la.ring_mat_mul(Rm, shave, sinv))
+        # coeffcols holds one column per layer generator; both changes of
+        # generators compose into one matrix over R
+        gens = _apply_ring_transform(
+            F, st, _la.ring_mat_mul(R, _la.transpose(coeffcols), Tm))
         for idx, g in enumerate(gens):
             char = "D" if (delta_want and idx == r - 1) else "1"
             cols = []
@@ -654,9 +646,9 @@ def canonicalize(P):
                 blk = congruent_pencil(sub, Cv)
                 entries += _process_place(blk, f,
                                           _la.mat_mul(F, Cwp, Cv), f)
-    desc, canon = canonical_assemble(F, kron, entries)
+    desc = canonical_assemble(F, kron, entries)
     achieved = apply_congruence(P, desc.transform)
-    if achieved.b_inf != canon.b_inf or achieved.b_0 != canon.b_0:
+    if achieved != desc.canonical:
         raise AssertionError("canonical form failed the exactness check")
     return desc
 

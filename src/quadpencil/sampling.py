@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from . import linalg as _la
-from .pencil import Homography, Pencil
+from .pencil import Homography, Pencil, apply_congruence
+from .regular import assemble_blocks
 
 
 def rand_matrix(F, rng, r, c):
@@ -45,23 +46,9 @@ def rand_regular_pencil(F, rng, n):
             return Pencil.make(F, binf, rand_symmetric(F, rng, n))
 
 
-def assemble_blocks(F, kron=(), blocks=()):
-    """Block-diagonal pencil with the given Kronecker indices and local
-    blocks; each block is (place, ell, delta) with delta a bool."""
-    from .kronecker import kh_matrix
-    from .regular import canonical_local_block
-    parts = [kh_matrix(F, h) for h in kron]
-    parts += [canonical_local_block(F, f, ell, delta)
-              for f, ell, delta in blocks]
-    binf = _la.block_diag(F, [p.b_inf for p in parts])
-    b0 = _la.block_diag(F, [p.b_0 for p in parts])
-    return Pencil.make(F, binf, b0)
-
-
 def planted_pencil(F, rng, kron=(), blocks=()):
     """Scrambled instance with known structure: assemble_blocks pushed
     through a random congruence.  Returns (pencil, scramble)."""
-    from .pencil import apply_congruence
     P = assemble_blocks(F, kron, blocks)
     S = rand_invertible(F, rng, P.n)
     return apply_congruence(P, S), S

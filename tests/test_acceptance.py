@@ -17,7 +17,8 @@ from quadpencil.regular import (canonicalize, descriptor_key,
                                 diagonalize_unit, ip1s_solve)
 
 from oracles import (bruteforce_homographies, candidate_pool,
-                     poly_from_ints, regular_form)
+                     factor_signature, poly_from_ints, regular_form,
+                     regular_part)
 
 _FIELDS = {}
 
@@ -325,8 +326,13 @@ def test_7_ip2s_round_trip_200_planted_with_bruteforce_containment():
         assert verify_ip2s(A, B, S, g)
         da, db = canonicalize(A), canonicalize(B)
         pool = {h.m for h in candidate_pool(F, da, db)}
-        oracle = bruteforce_homographies(regular_form(da), regular_form(db))
-        assert {h.m for h in oracle} <= pool
+        # the homographies relating the characteristic forms that also
+        # carry the layer ranks of every place of A onto those of B
+        ra, want = regular_part(da), factor_signature(regular_part(db))
+        oracle = {h.m for h in bruteforce_homographies(regular_form(da),
+                                                       regular_form(db))
+                  if factor_signature(twist(ra, h)) == want}
+        assert pool == oracle
         assert g0.m in pool
 
 

@@ -47,6 +47,11 @@ def test_gen_rejects_bad_requests(capsys):
                  "--blocks", "K0,K0,K0"]) == 1
     assert main(["gen", "--q", "3", "--n", "2",
                  "--blocks", "L(x^2+1,1,Q)"]) == 1
+    assert main(["gen", "--q", "5", "--n", "-1"]) == 1
+    assert "--n" in capsys.readouterr().err
+    for spec in ("L(x,0,1)", "Linf(0,D)", "K0,L(x+1,-1,1)"):
+        assert main(["gen", "--q", "5", "--blocks", spec]) == 1
+        assert "ell must be at least 1" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -95,3 +95,46 @@ def test_all_names_resolve():
                if not hasattr(quadpencil, name)]
     assert missing == []
     assert len(set(quadpencil.__all__)) == len(quadpencil.__all__)
+
+
+def _normalized_body(fn):
+    """ast dump of a function body, docstring dropped, with arguments
+    and local names renamed in order of first appearance."""
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    local = set(params) | {
+        n.id for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    body = fn.body
+    if ast.get_docstring(fn, clean=False) is not None:
+        body = body[1:]
+    names = {p: "v%d" % i for i, p in enumerate(params)}
+
+    class Rename(ast.NodeTransformer):
+        def visit_Name(self, node):
+            if node.id in local:
+                node.id = names.setdefault(node.id, "v%d" % len(names))
+            return node
+
+        def visit_arg(self, node):
+            node.arg = names.setdefault(node.arg, "v%d" % len(names))
+            return node
+
+    body = [Rename().visit(stmt) for stmt in body]
+    return len(body), ast.dump(ast.Module(body=body, type_ignores=[]))
+
+
+def test_no_duplicate_function_bodies():
+    """No two functions or methods, nested ones included, share a body of
+    three or more statements up to the names of arguments and locals."""
+    seen = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, _FUNCS):
+                size, key = _normalized_body(node)
+                if size >= 3:
+                    seen.setdefault(key, []).append(
+                        "%s:%s" % (path.name, node.name))
+    assert [names for names in seen.values() if len(names) > 1] == []

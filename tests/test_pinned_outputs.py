@@ -1,0 +1,132 @@
+"""Byte-level pin of the solvers' JSON outputs on fixed seeds.
+
+One sha256 covers `emit_descriptor`, `emit_solution` and the Kronecker
+report of fifty small seeded records: singular and planted pencils,
+ip1s and ip2s pairs, over odd-characteristic prime and
+extension fields and over GF(2) and GF(4).  Refactors that keep outputs
+byte-identical keep the digest.  Solving ip2s over GL_2 instead of PGL_2
+(ROADMAP item 1, the scalar class of gamma) changes the reported
+witnesses and will legitimately change the digest; record the new one
+with the change that does it.
+"""
+
+import hashlib
+import json
+import random
+
+from quadpencil import sampling as sp
+from quadpencil.field import emit_elem, make_field
+from quadpencil.ip2s import ip2s_solve
+from quadpencil.kronecker import kh_matrix, kronecker_decompose
+from quadpencil.linalg import block_diag
+from quadpencil.pencil import (INF, Pencil, apply_congruence, char_poly,
+                               emit_pencil, emit_solution, twist)
+from quadpencil.regular import canonicalize, emit_descriptor, ip1s_solve
+
+DIGEST = ("de8ee7e25940986ffd8d211a845e66706"
+          "dd21393eebc9bf353271fd89cfcbce9")
+
+
+def _planted(F, rng, kron, blocks):
+    return sp.planted_pencil(F, rng, kron, blocks)[0]
+
+
+def _kron_doc(F, rep):
+    return {"indices": list(rep.indices),
+            "transform": [[emit_elem(F, x) for x in row]
+                          for row in rep.transform],
+            "regular_part": emit_pencil(rep.regular_part)}
+
+
+# what the CLI prints for a pair it proves non-equivalent
+NOT_EQUIVALENT = {"equivalent": False}
+
+
+def _alternating_part(F, rng, n):
+    """Random alternating pencil of even size n with a nonzero
+    characteristic form."""
+    while True:
+        mats = []
+        for _ in range(2):
+            A = [[F.zero] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    A[i][j] = A[j][i] = F.rand(rng)
+            mats.append(tuple(map(tuple, A)))
+        P = Pencil.make(F, *mats)
+        if not char_poly(P).is_zero():
+            return P
+
+
+def _records():
+    rng = random.Random(4242)
+    f3, f5, f7, f11 = (make_field(q) for q in (3, 5, 7, 11))
+    f9, f25 = make_field(3, 2), make_field(5, 2)
+    planted = (
+        (f3, (1,), ((INF, 1, False), ((1, 1), 2, True))),
+        (f3, (0, 2), (((1, 0, 1), 1, False),)),
+        (f5, (), (((2, 1), 1, False), ((2, 1), 1, True), (INF, 2, False))),
+        (f5, (1,), (((0, 1), 3, False), ((2, 0, 1), 1, True))),
+        (f7, (0,), (((3, 1), 1, False), ((3, 1), 1, False),
+                    ((1, 0, 1), 2, False))),
+        (f7, (2,), ((INF, 1, True), ((5, 1), 1, False))),
+        (f11, (), (((4, 1), 2, True), ((1, 0, 1), 1, False),
+                   (INF, 1, False))),
+        (f11, (0, 1), (((7, 1), 1, True),)),
+        (f9, (1,), ((INF, 1, False), ((f9.scalar(1), f9.one), 1, True))),
+        (f9, (), (((f9.zero, f9.one), 2, False),
+                  ((f9.scalar(2), f9.one), 1, False))),
+        (f25, (0,), (((f25.scalar(3), f25.one), 1, True), (INF, 2, False))),
+    )
+    for F, kron, blocks in planted:
+        A = _planted(F, rng, kron, blocks)
+        yield "canon", emit_descriptor(F, canonicalize(A))
+        if F.q <= 7:
+            yield "kron", _kron_doc(F, kronecker_decompose(A))
+    for F, n in ((f3, 4), (f5, 5), (f7, 3), (f11, 6), (f9, 3), (f25, 2)):
+        A = sp.rand_pencil(F, rng, n)
+        yield "canon", emit_descriptor(F, canonicalize(A))
+    for F, kron, blocks in planted[:8]:
+        A = _planted(F, rng, kron, blocks)
+        B = apply_congruence(A, sp.rand_invertible(F, rng, A.n))
+        S = ip1s_solve(A, B)
+        yield "ip1s", NOT_EQUIVALENT if S is None else emit_solution(F, S)
+    for F in (f3, f5, f7, f9):
+        A = sp.rand_regular_pencil(F, rng, 3)
+        B = sp.rand_regular_pencil(F, rng, 3)
+        S = ip1s_solve(A, B)
+        yield "ip1s", NOT_EQUIVALENT if S is None else emit_solution(F, S)
+    for F, n in ((f5, 3), (f7, 4), (f11, 3), (make_field(13), 4)):
+        A = sp.rand_regular_pencil(F, rng, n)
+        g0 = sp.rand_homography(F, rng)
+        B = apply_congruence(twist(A, g0),
+                             sp.rand_invertible(F, rng, A.n))
+        out = ip2s_solve(A, B)
+        yield "ip2s", NOT_EQUIVALENT if out is None else emit_solution(F, *out)
+    for F, kron, blocks in planted[2:7:2]:
+        A = _planted(F, rng, kron, blocks)
+        g0 = sp.rand_homography(F, rng)
+        B = apply_congruence(twist(A, g0),
+                             sp.rand_invertible(F, rng, A.n))
+        out = ip2s_solve(A, B)
+        yield "ip2s", NOT_EQUIVALENT if out is None else emit_solution(F, *out)
+    for F in (make_field(2), make_field(2, 2, (1, 1, 1))):
+        for hs, m in (((0,), 2), ((1, 0), 0), ((2,), 4), ((0, 1), 2)):
+            parts = [kh_matrix(F, h) for h in hs]
+            if m:
+                parts.append(_alternating_part(F, rng, m))
+            P0 = Pencil.make(F, block_diag(F, [p.b_inf for p in parts]),
+                             block_diag(F, [p.b_0 for p in parts]))
+            P = apply_congruence(P0, sp.rand_invertible(F, rng, P0.n))
+            yield "kron", _kron_doc(F, kronecker_decompose(P))
+
+
+def test_outputs_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for kind, doc in _records():
+        h.update(json.dumps([kind, doc], sort_keys=True).encode())
+        h.update(b"\n")
+        count += 1
+    assert count == 50
+    assert h.hexdigest() == DIGEST
