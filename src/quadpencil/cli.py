@@ -15,11 +15,11 @@ import sys
 
 from . import poly as _poly
 from . import sampling
-from .field import make_field, emit_elem
+from .field import make_field
 from .kronecker import kronecker_decompose
-from .pencil import (INF, apply_congruence, emit_pencil, emit_solution,
-                     parse_pencil, parse_solution, twist, verify_ip1s,
-                     verify_ip2s)
+from .pencil import (INF, apply_congruence, emit_matrix, emit_pencil,
+                     emit_solution, parse_pencil, parse_solution, twist,
+                     verify_ip1s, verify_ip2s)
 from .regular import canonicalize, emit_descriptor, ip1s_solve
 from .ip2s import ip2s_solve
 
@@ -178,8 +178,7 @@ def cmd_canon(args):
         # characteristic two: only the singular part is canonical
         rep = kronecker_decompose(A)
         doc = {"indices": list(rep.indices),
-               "transform": [[emit_elem(F, x) for x in row]
-                             for row in rep.transform],
+               "transform": emit_matrix(F, rep.transform),
                "regular_part": emit_pencil(rep.regular_part)}
         _emit(doc, args.out)
         return 0

@@ -32,7 +32,7 @@ class FiniteField:
 
     FiniteField(p) builds the prime field; base.extension(modulus) builds
     k[t]/(modulus) with modulus a monic irreducible tuple over base,
-    constant coefficient first.
+    constant coefficient first, once per modulus.
     """
 
     def __init__(self, p, base=None, modulus=None):
@@ -64,7 +64,9 @@ class FiniteField:
             self.zero = (base.zero,) * self.deg
             self.one = (base.one,) + (base.zero,) * (self.deg - 1)
         self.prime = self.base is None
+        self._extensions = {}
         self._nonsquare = None
+        self._two_squares = None
         self._np_red = None
         if self.base is not None and self.base.prime and self.deg >= 3:
             # reduction rows x^(d+i) mod f for the convolution fast path
@@ -83,8 +85,14 @@ class FiniteField:
     # -- construction ------------------------------------------------
 
     def extension(self, modulus):
-        """Extension of self by a monic irreducible modulus (tuple over self)."""
-        return FiniteField(self.p, self, modulus)
+        """Extension of self by a monic irreducible modulus (tuple over self).
+        Each modulus is checked and built once; later calls return the
+        same object, so its caches are shared."""
+        mod = tuple(modulus)
+        K = self._extensions.get(mod)
+        if K is None:
+            K = self._extensions[mod] = FiniteField(self.p, self, mod)
+        return K
 
     def _key(self):
         if self.prime:

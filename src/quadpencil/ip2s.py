@@ -64,12 +64,6 @@ def _place_degree(place):
     return 1 if place is INF else _poly.poly_deg(place)
 
 
-def _point_key(F, x):
-    if x is INF:
-        return (0, 0)
-    return (1, F.sort_key(x))
-
-
 def _place_point(F, place):
     """Degree-1 place as a point of the projective line."""
     if place is INF:
@@ -192,18 +186,18 @@ def _candidate_pool(F, sig_src, sig_dst):
     if sorted(sig_src) != sorted(sig_dst) or any(
             len(sig_src[de]) != len(sig_dst[de]) for de in sig_src):
         return ()
-    rats = sorted(((p, de) for de in sig_src if de[0] == 1
-                   for p in sig_src[de]),
-                  key=lambda it: (len(sig_dst[it[1]]), it[1],
-                                  _point_key(F, _place_point(F, it[0]))))
-    quads = sorted(((p, de) for de in sig_src if de[0] == 2
-                    for p in sig_src[de]),
-                   key=lambda it: (len(sig_dst[it[1]]), it[1],
-                                   _poly.poly_sort_key(F, it[0])))
-    q = F.q
 
     def size(item):
         return len(sig_dst[item[1]])
+
+    def pin_order(item):
+        return (size(item), item[1], place_key(F, item[0]))
+
+    rats = sorted(((p, de) for de in sig_src if de[0] == 1
+                   for p in sig_src[de]), key=pin_order)
+    quads = sorted(((p, de) for de in sig_src if de[0] == 2
+                    for p in sig_src[de]), key=pin_order)
+    q = F.q
 
     # (cost, pinning (place, class) items), appended in tie-break order:
     # a point triple, a point and a root pair, two root pairs, a Galois

@@ -368,15 +368,21 @@ def mat_pow(F, M, e):
 
 
 def mat_poly_eval(F, f, M):
-    """f(M) for a polynomial f (constant first) and square matrix M."""
+    """f(M) for a polynomial f (constant first) and square matrix M, by
+    Horner's rule with each coefficient added on the diagonal."""
     n = len(M)
     if not f:
         return zeros(F, n, n)
-    acc = mat_scale(F, f[-1], identity(F, n))
+    acc = _add_diagonal(F, zeros(F, n, n), f[-1])
     for c in reversed(f[:-1]):
-        acc = mat_mul(F, acc, M)
-        acc = mat_add(F, acc, mat_scale(F, c, identity(F, n)))
+        acc = _add_diagonal(F, mat_mul(F, acc, M), c)
     return acc
+
+
+def _add_diagonal(F, A, c):
+    """A + c I."""
+    return tuple(row[:i] + (F.add(row[i], c),) + row[i + 1:]
+                 for i, row in enumerate(A))
 
 
 def ring_mat_mul(R, A, B):

@@ -262,6 +262,25 @@ def verify_ip2s(A, B, S, g):
     return verify_ip1s(twist(A, g), B, S)
 
 
+def _parse_matrix(ctx, rows, n, name, wrong_shape=None):
+    """n x n matrix of field elements from a JSON array of rows;
+    wrong_shape, when given, replaces both shape messages."""
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ValueError(wrong_shape or "%s must be an n-row matrix" % name)
+    mat = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(wrong_shape
+                             or "%s rows must have length n" % name)
+        mat.append(tuple(_field.parse_elem(ctx, v) for v in row))
+    return tuple(mat)
+
+
+def emit_matrix(ctx, M):
+    """JSON-ready rows of a matrix over ctx."""
+    return [[_field.emit_elem(ctx, x) for x in row] for row in M]
+
+
 def parse_pencil(doc):
     """Pencil from a JSON-style dict {"field", "n", "b_inf", "b_0"}."""
     if not isinstance(doc, dict):
@@ -270,18 +289,9 @@ def parse_pencil(doc):
     n = doc.get("n")
     if not _field.is_int(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    mats = []
-    for key in ("b_inf", "b_0"):
-        rows = doc.get(key)
-        if not isinstance(rows, list) or len(rows) != n:
-            raise ValueError("%s must be an n-row matrix" % key)
-        mat = []
-        for row in rows:
-            if not isinstance(row, list) or len(row) != n:
-                raise ValueError("%s rows must have length n" % key)
-            mat.append(tuple(_field.parse_elem(ctx, v) for v in row))
-        mats.append(tuple(mat))
-    return Pencil.make(ctx, mats[0], mats[1])
+    binf = _parse_matrix(ctx, doc.get("b_inf"), n, "b_inf")
+    b0 = _parse_matrix(ctx, doc.get("b_0"), n, "b_0")
+    return Pencil.make(ctx, binf, b0)
 
 
 def emit_pencil(P):
@@ -289,8 +299,8 @@ def emit_pencil(P):
     return {
         "field": _field.emit_field(F),
         "n": P.n,
-        "b_inf": [[_field.emit_elem(F, x) for x in row] for row in P.b_inf],
-        "b_0": [[_field.emit_elem(F, x) for x in row] for row in P.b_0],
+        "b_inf": emit_matrix(F, P.b_inf),
+        "b_0": emit_matrix(F, P.b_0),
     }
 
 
@@ -298,32 +308,17 @@ def parse_solution(ctx, n, doc):
     """(S, gamma or None) from a JSON-style dict {"S", "gamma"?}."""
     if not isinstance(doc, dict):
         raise ValueError("solution must be an object")
-    rows = doc.get("S")
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ValueError("S must be an n-row matrix")
-    S = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError("S rows must have length n")
-        S.append(tuple(_field.parse_elem(ctx, v) for v in row))
-    S = tuple(S)
+    S = _parse_matrix(ctx, doc.get("S"), n, "S")
     g = None
     if doc.get("gamma") is not None:
-        grows = doc["gamma"]
-        if not isinstance(grows, list) or len(grows) != 2:
-            raise ValueError("gamma must be a 2x2 matrix")
-        gm = []
-        for row in grows:
-            if not isinstance(row, list) or len(row) != 2:
-                raise ValueError("gamma must be a 2x2 matrix")
-            gm.append(tuple(_field.parse_elem(ctx, v) for v in row))
-        g = Homography.make(ctx, (gm[0], gm[1]))
+        gm = _parse_matrix(ctx, doc["gamma"], 2, "gamma",
+                           "gamma must be a 2x2 matrix")
+        g = Homography.make(ctx, gm)
     return S, g
 
 
 def emit_solution(ctx, S, g=None):
-    doc = {"S": [[_field.emit_elem(ctx, x) for x in row] for row in S]}
+    doc = {"S": emit_matrix(ctx, S)}
     if g is not None:
-        doc["gamma"] = [[_field.emit_elem(ctx, x) for x in row]
-                        for row in g.m]
+        doc["gamma"] = emit_matrix(ctx, g.m)
     return doc

@@ -292,14 +292,13 @@ def _equal_degree(F, f, d, rng):
     return _equal_degree(F, h, d, rng) + _equal_degree(F, rest, d, rng)
 
 
-def poly_factor(F, f, rng=None):
+def poly_factor(F, f):
     """Monic irreducible factors with multiplicities, sorted by
     (degree, coefficient order).  Leading coefficient is dropped;
     the product of factors rebuilds f up to that unit."""
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if rng is None:
-        rng = random.Random(0x5EED)
+    rng = random.Random(0x5EED)
     f = poly_monic(F, f)
     if poly_deg(f) == 0:
         return []
@@ -314,15 +313,19 @@ def poly_factor(F, f, rng=None):
     return found
 
 
-def poly_roots(F, f, rng=None):
-    """Distinct roots of f in F, sorted."""
+def poly_roots(F, f):
+    """Distinct roots of f in F, sorted.  gcd(x^q - x, f) is the
+    squarefree product of the linear factors, so the equal-degree split
+    alone takes it apart."""
     if not f:
         raise ValueError("the zero polynomial has every root")
     x = poly_x(F)
     h = poly_pow_mod(F, x, F.q, f)
     g = poly_gcd(F, poly_sub(F, h, x), f)
-    roots = ([F.neg(fac[0]) for fac, _ in poly_factor(F, g, rng)]
-             if poly_deg(g) > 0 else [])
+    if poly_deg(g) <= 0:
+        return []
+    roots = [F.neg(lin[0])
+             for lin in _equal_degree(F, g, 1, random.Random(0x5EED))]
     return sorted(roots, key=F.sort_key)
 
 

@@ -21,7 +21,7 @@ from . import poly as _poly
 from .field import field_nonsquare, field_sqrt, emit_elem
 from .kronecker import inf_preimage, kh_matrix, kronecker_decompose
 from .pencil import (INF, Pencil, apply_congruence, congruent_pencil,
-                     verify_ip1s)
+                     emit_matrix, verify_ip1s)
 
 
 # -- primary decomposition ----------------------------------------------
@@ -297,22 +297,19 @@ def split_free_layers(R, gram, orders):
     return out
 
 
-_TWO_SQUARES = {}
-
-
-def _two_squares(K, target):
-    """First (u, v) with u^2 + v^2 = target, both nonzero when target is
-    a non-square."""
-    key = (K._key(), K.sort_key(target))
-    if key not in _TWO_SQUARES:
+def _two_squares(K):
+    """First (u, v) with u^2 + v^2 = Delta, the canonical non-square of K;
+    both are nonzero.  Cached on K, like Delta itself."""
+    if K._two_squares is None:
+        delta = field_nonsquare(K)
         for u in K.elements():
-            v = field_sqrt(K, K.sub(target, K.mul(u, u)))
+            v = field_sqrt(K, K.sub(delta, K.mul(u, u)))
             if v is not None and not K.is_zero(v):
-                _TWO_SQUARES[key] = (u, v)
+                K._two_squares = (u, v)
                 break
         else:
             raise AssertionError("unreachable: sums of two squares cover K")
-    return _TWO_SQUARES[key]
+    return K._two_squares
 
 
 def diagonalize_unit(R, A):
@@ -380,7 +377,7 @@ def diagonalize_unit(R, A):
         col_scale(i, R.inv(s))
     while len(dpos) >= 2:
         i, j = dpos[0], dpos[1]
-        u, v = _two_squares(K, delta)
+        u, v = _two_squares(K)
         dinv = R.inv(DR)
         a = R.mul(R.from_field(u), dinv)
         b = R.mul(R.from_field(v), dinv)
@@ -420,16 +417,12 @@ def diagonalize_unit(R, A):
 def canonical_local_block(F, place, ell, delta):
     """Canonical pencil block for one place: the twisted trace form
     Tr(tau(u (lambda - zeta - pi) x y / f'(zeta))) on the monomial basis
-    of R_ell, with u = 1 or the canonical non-square.  For the place at
-    infinity the roles of the two forms are exchanged."""
+    of R_ell, with u = 1 or the canonical non-square.  The place at
+    infinity takes the block of the place x with its two forms exchanged,
+    as canonicalize treats it."""
     if place is INF:
-        u = field_nonsquare(F) if delta else F.one
-        nu = F.neg(u)
-        binf = tuple(tuple(nu if j + jp == ell - 2 else F.zero
-                           for jp in range(ell)) for j in range(ell))
-        b0 = tuple(tuple(u if j + jp == ell - 1 else F.zero
-                         for jp in range(ell)) for j in range(ell))
-        return Pencil.make(F, binf, b0)
+        P = canonical_local_block(F, (F.zero, F.one), ell, delta)
+        return Pencil(F, P.n, P.b_0, P.b_inf)
     f = place
     d = _poly.poly_deg(f)
     K = F.extension(f)
@@ -684,5 +677,4 @@ def emit_descriptor(F, desc):
                        "char": b.character})
     return {"kronecker": list(desc.kronecker_indices),
             "blocks": blocks,
-            "transform": [[emit_elem(F, x) for x in row]
-                          for row in desc.transform]}
+            "transform": emit_matrix(F, desc.transform)}

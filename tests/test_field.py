@@ -134,6 +134,18 @@ def test_json_roundtrip():
             assert parse_elem(F, emit_elem(F, x)) == x
 
 
+def test_extension_is_built_once_per_modulus():
+    F = make_field(7)
+    K = F.extension((1, 0, 1))
+    assert F.extension([1, 0, 1]) is K and F.extension((1, 0, 1)) is K
+    # a reducible modulus is refused every time, never cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            F.extension((6, 0, 1))   # x^2 - 1
+    # a different base keeps its own extensions
+    assert make_field(7).extension((1, 0, 1)) is not K
+
+
 def test_bad_inputs():
     with pytest.raises(ValueError):
         make_field(4)

@@ -89,6 +89,20 @@ def test_det_multiplicative_and_charpoly():
         assert acc == la.zeros(F, n, n)
 
 
+@pytest.mark.parametrize("p,deg", [(7, 1), (3, 2)])
+def test_mat_poly_eval_matches_power_sum(p, deg):
+    F = make_field(p, deg)
+    rng = random.Random(28)
+    for _ in range(20):
+        n = rng.randrange(1, 5)
+        M = _rand_mat(F, rng, n, n)
+        f = tuple(F.rand(rng) for _ in range(rng.randrange(0, 5)))
+        want = la.zeros(F, n, n)
+        for i, c in enumerate(f):
+            want = la.mat_add(F, want, la.mat_scale(F, c, la.mat_pow(F, M, i)))
+        assert la.mat_poly_eval(F, f, M) == want
+
+
 def test_det_2x2_oracle():
     F = make_field(5)
     A = ((1, 2), (3, 4))

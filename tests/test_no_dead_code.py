@@ -3,6 +3,7 @@ the package or exported, and every exported name resolves."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 
@@ -95,6 +96,30 @@ def test_all_names_resolve():
                if not hasattr(quadpencil, name)]
     assert missing == []
     assert len(set(quadpencil.__all__)) == len(quadpencil.__all__)
+
+
+def _tracer():
+    path = SRC.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark's tracer wraps or counts exists, so a
+    renamed or deleted stage fails here rather than in a benchmark run."""
+    tracer = _tracer()
+    targets = list(tracer.SPANS.values())
+    targets += [t for tlist in tracer.COUNTS.values() for t in tlist]
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module("quadpencil." + module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append("%s.%s" % (module, attr))
+    assert missing == []
 
 
 def _normalized_body(fn):

@@ -74,20 +74,40 @@ def test_factor_product_property():
             assert prod == poly_monic(F, f)
 
 
+def _check_roots(F, f):
+    roots = poly_roots(F, f)
+    assert roots == [x for x in F.elements() if poly_eval(F, f, x) == F.zero]
+    return roots
+
+
 def test_roots_oracle_and_property():
     F = make_field(7)
     f = poly_mul(F, poly_mul(F, (6, 1), (5, 1)), (5, 1))  # (x-1)(x-2)^2
     assert poly_roots(F, f) == [1, 2]
     rng = random.Random(14)
-    for _ in range(40):
-        f = _rand_poly(F, rng, rng.randrange(1, 6))
-        roots = poly_roots(F, f)
-        assert len(set(roots)) == len(roots)
-        for r in roots:
-            assert poly_eval(F, f, r) == F.zero
-        for x in F.elements():
-            if poly_eval(F, f, x) == F.zero:
-                assert x in roots
+    # F_7, GF(9), a cubic extension of F_5, GF(4)
+    for F in (F, make_field(3, 2), make_field(5, 3), make_field(2, 2)):
+        for _ in range(40):
+            _check_roots(F, _rand_poly(F, rng, rng.randrange(1, 6)))
+        # products of distinct linear factors split completely
+        elems = list(F.elements())
+        for k in range(1, 5):
+            pts = rng.sample(elems, k)
+            f = (F.one,)
+            for x in pts:
+                f = poly_mul(F, f, (F.neg(x), F.one))
+            assert _check_roots(F, f) == sorted(pts, key=F.sort_key)
+    # a place's roots in its own residue field are the Galois orbit of
+    # the class zeta of x
+    for p, d in ((3, 2), (5, 3), (7, 2), (3, 4)):
+        F = make_field(p)
+        f = canonical_modulus(F, d)
+        K = F.extension(f)
+        orbit = [(F.zero, F.one) + (F.zero,) * (d - 2)]
+        for _ in range(d - 1):
+            orbit.append(K.pow(orbit[-1], p))
+        roots = _check_roots(K, tuple(K.lift(c) for c in f))
+        assert roots == sorted(orbit, key=K.sort_key)
 
 
 def test_irreducible_exhaustive_deg2():

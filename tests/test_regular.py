@@ -7,6 +7,7 @@ import pytest
 
 from quadpencil.field import make_field, field_nonsquare
 from quadpencil import linalg as la
+from quadpencil import poly
 from quadpencil import sampling as sp
 from quadpencil.localring import LocalRing, ring_sqrt
 from quadpencil.pencil import (INF, Pencil, apply_congruence, char_poly,
@@ -24,6 +25,29 @@ def test_linear_place_block_oracle():
     blk = canonical_local_block(F, (4, 1), 1, False)   # f = x + 4 = x - 3
     assert blk.b_inf == ((1,),)
     assert blk.b_0 == ((4,),)
+
+
+def test_canonicalize_tests_each_modulus_once(monkeypatch):
+    rng = random.Random(9)
+    blocks = ((INF, 1, False), ((2, 1), 2, True), ((1, 0, 1), 1, False),
+              ((3, 1), 1, False))
+    planted = [sp.planted_pencil(make_field(11), rng, (1,), blocks)[0]
+               for _ in range(3)]
+    # the same pencils over a fresh field, which has built no extension
+    F = make_field(11)
+    pencils = [Pencil.make(F, P.b_inf, P.b_0) for P in planted]
+    seen = []
+    real = poly.is_irreducible
+
+    def counted(ctx, f):
+        seen.append((id(ctx), tuple(f)))
+        return real(ctx, f)
+
+    monkeypatch.setattr(poly, "is_irreducible", counted)
+    for P in pencils:
+        canonicalize(P)
+    assert sorted(seen) == sorted((id(F), f) for f in
+                                  ((0, 1), (2, 1), (1, 0, 1), (3, 1)))
 
 
 def test_block_matches_hankel_times_companion():
@@ -50,6 +74,20 @@ def test_infinite_block_oracle():
     # characteristic form is mu^ell up to scalar
     cp = char_poly(blk)
     assert cp.coeffs == (4, 0, 0)
+    # in general -u on the anti-diagonal j + j' = ell - 2 of the leading
+    # form, u on j + j' = ell - 1 of the constant one
+    for F in (make_field(3), make_field(7), make_field(101),
+              make_field(3, 2), make_field(5, 2), make_field(3, 3)):
+        for ell in range(1, 6):
+            for delta in (False, True):
+                u = field_nonsquare(F) if delta else F.one
+                blk = canonical_local_block(F, INF, ell, delta)
+                assert blk.b_inf == tuple(tuple(
+                    F.neg(u) if j + jp == ell - 2 else F.zero
+                    for jp in range(ell)) for j in range(ell))
+                assert blk.b_0 == tuple(tuple(
+                    u if j + jp == ell - 1 else F.zero
+                    for jp in range(ell)) for j in range(ell))
 
 
 def test_block_charpoly_is_place_power():
