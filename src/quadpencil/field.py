@@ -278,12 +278,8 @@ def field_sqrt(ctx, x):
         return x
     if not ctx.is_square(x):
         return None
-    if ctx.q <= 64:
-        for r in ctx.elements():
-            if ctx.mul(r, r) == x:
-                return r
-        raise AssertionError("unreachable: Euler criterion passed")
-    # Tonelli-Shanks.
+    # Tonelli-Shanks; of the two roots the smaller by sort_key, which is
+    # also the first in elements() order
     q = ctx.q
     s, t = 0, q - 1
     while t % 2 == 0:

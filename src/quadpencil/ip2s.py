@@ -17,16 +17,34 @@ its root (the class of t) in K = F.extension(place) and y a root of the
 target place in K; the condition's d coordinates over F are d rows.  The
 candidates for one choice of target roots are the invertible projective
 points of the nullspace of the stacked rows.
+
+The pinned places are the set S of at most three places that minimizes
+one cost: the product over S of deg(p) |class(p)| (the target roots to
+choose from) times (q^k - 1)/(q - 1) with k = 4 - min(3, sum of deg p)
+(the projective points of a k-dimensional nullspace).  The empty set is
+the sweep of all of PGL_2.  A class is the set of places of one degree
+and one set of layer ranks.  The cost counts every projective point of
+each nullspace, invertible or not.  It agrees with the per-shape costs
+of the point triple, a point and a root pair, two root pairs, one
+Galois orbit, a root pair alone (the nonsplit torus) and a lone point.
+Two points alone (the split torus) cost q + 1, of which q - 1 points
+are invertible, and the sweep costs (q^4 - 1)/(q - 1) against the
+q^3 - q elements of PGL_2; by either count the sweep fits SWEEP_BUDGET
+for exactly q <= 97.  The pool does not depend on which places are
+pinned: every choice enumerates each homography that carries the
+places of one pencil onto those of the other class by class, and the
+filter by every class keeps exactly those.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import linalg as _la
 from . import poly as _poly
-from .pencil import BinaryForm, Homography, INF, twist, verify_ip2s
-from .regular import canonicalize, descriptor_key, place_key
+from .pencil import BinaryForm, Homography, INF, twist
+from .regular import canonical_witness, canonicalize, place_key
 
 #: Hard ceiling on the intersected candidate set; beyond it the solver
 #: reports resource exhaustion rather than truncating.
@@ -178,71 +196,48 @@ def _pinned(F, pins):
 
 def _candidate_pool(F, sig_src, sig_dst):
     """Candidates mapping the places of sig_src onto those of sig_dst,
-    pinned by the cheapest complete choice of places and filtered by
-    every place class."""
+    pinned by the cheapest set of places and filtered by every place
+    class."""
     if not sig_src:
         raise ValueError("no places pin a homography; the pencils are "
                          "entirely singular")
     if sorted(sig_src) != sorted(sig_dst) or any(
             len(sig_src[de]) != len(sig_dst[de]) for de in sig_src):
         return ()
-
-    def size(item):
-        return len(sig_dst[item[1]])
+    q = F.q
+    classes = sorted(sig_src)
 
     def pin_order(item):
-        return (size(item), item[1], place_key(F, item[0]))
+        return (len(sig_dst[item[1]]), item[1], place_key(F, item[0]))
 
-    rats = sorted(((p, de) for de in sig_src if de[0] == 1
-                   for p in sig_src[de]), key=pin_order)
-    quads = sorted(((p, de) for de in sig_src if de[0] == 2
-                    for p in sig_src[de]), key=pin_order)
-    q = F.q
+    # a pin set's cost depends only on the degrees and class sizes of its
+    # places, so the three places of each degree in the smallest classes
+    # are enough to choose from
+    by_degree = {}
+    for de in classes:
+        by_degree.setdefault(de[0], []).extend((p, de) for p in sig_src[de])
+    items = [it for group in by_degree.values()
+             for it in sorted(group, key=pin_order)[:3]]
 
-    # (cost, pinning (place, class) items), appended in tie-break order:
-    # a point triple, a point and a root pair, two root pairs, a Galois
-    # orbit, the split torus, the nonsplit torus, a lone point, the PGL_2
-    # sweep
-    strategies = []
-    if len(rats) >= 3:
-        strategies.append(
-            (size(rats[0]) * size(rats[1]) * size(rats[2]), rats[:3]))
-    if rats and quads:
-        strategies.append(
-            (2 * size(rats[0]) * size(quads[0]), [rats[0], quads[0]]))
-    if len(quads) >= 2:
-        strategies.append((4 * size(quads[0]) * size(quads[1]), quads[:2]))
-    orbits = [(de[0] * len(sig_src[de]), de)
-              for de in sorted(sig_src) if de[0] >= 3]
-    if orbits:
-        cost, de = min(orbits, key=lambda o: o[0])
-        strategies.append((cost, [(sig_src[de][0], de)]))
-    if len(rats) >= 2:
-        strategies.append((size(rats[0]) * size(rats[1]) * (q - 1), rats[:2]))
-    if quads:
-        strategies.append((2 * (q + 1) * size(quads[0]), quads[:1]))
-    if rats:
-        strategies.append((size(rats[0]) * (q * q + q + 1), rats[:1]))
-    if q ** 3 - q <= SWEEP_BUDGET:
-        strategies.append((q ** 3 - q, []))
-    # every place is a point, a root pair or an orbit, so one entry above
-    # applies
-    cost, pins = min(strategies, key=lambda s: s[0])
-    if cost > SWEEP_BUDGET:
+    def cost(pins):
+        # targets times the points of the nullspace left by the pins
+        k = 4 - min(3, sum(de[0] for _, de in pins))
+        return math.prod(de[0] * len(sig_dst[de]) for _, de in pins) * (
+            (q ** k - 1) // (q - 1))
+
+    pins = min((s for r in range(4)
+                for s in itertools.combinations(items, r)), key=cost)
+    if cost(pins) > SWEEP_BUDGET:
         raise ValueError("candidate enumeration exceeds the search budget")
-    pool = _pinned(F, [(p, sig_dst[de]) for p, de in pins])
-    classes = sorted(sig_src)
-    out = {}
-    for g in pool:
+    out = []
+    for g in _pinned(F, [(p, sig_dst[de]) for p, de in pins]):
         if all(_maps_onto(F, g, sig_src[de], sig_dst[de])
                for de in classes):
-            key = _homography_key(F, g)
-            if key not in out:
-                out[key] = g
-                if len(out) > CANDIDATE_BUDGET:
-                    raise ValueError("candidate homographies exceed the "
-                                     "search budget")
-    return tuple(out[key] for key in sorted(out))
+            out.append(g)
+            if len(out) > CANDIDATE_BUDGET:
+                raise ValueError("candidate homographies exceed the "
+                                 "search budget")
+    return tuple(sorted(out, key=lambda g: _homography_key(F, g)))
 
 
 def ip2s_solve(A, B):
@@ -259,23 +254,12 @@ def ip2s_solve(A, B):
         return None
     sig_a = _signature_of_descriptor(F, da)
     sig_b = _signature_of_descriptor(F, db)
-    key_b = descriptor_key(db)
     if not sig_b:
-        if descriptor_key(da) != key_b:
-            return None
-        S = _la.mat_mul(F, da.transform, _la.inv(F, db.transform))
-        g = Homography.identity(F)
-        if not verify_ip2s(A, B, S, g):
-            raise AssertionError("transforms disagree on a fully "
-                                 "singular pair")
-        return S, g
+        S = canonical_witness(A, B, da, db)
+        return None if S is None else (S, Homography.identity(F))
     for g in _candidate_pool(F, sig_b, sig_a):
-        dt = canonicalize(twist(A, g))
-        if descriptor_key(dt) != key_b:
-            continue
-        S = _la.mat_mul(F, dt.transform, _la.inv(F, db.transform))
-        if not verify_ip2s(A, B, S, g):
-            raise AssertionError("canonical transforms disagree on the "
-                                 "twisted pencil")
-        return S, g
+        At = twist(A, g)
+        S = canonical_witness(At, B, canonicalize(At), db)
+        if S is not None:
+            return S, g
     return None

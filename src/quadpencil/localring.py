@@ -123,20 +123,6 @@ class LocalRing:
         """Lift a shorter tuple (an R_m element, m <= ell) by zero-padding."""
         return tuple(a) + (self.K.zero,) * (self.ell - len(a))
 
-    # -- enumeration ---------------------------------------------------------
-
-    def elements(self):
-        import itertools
-        base = list(self.K.elements())
-        yield from itertools.product(base, repeat=self.ell)
-
-    def rand(self, rng):
-        return tuple(self.K.rand(rng) for _ in range(self.ell))
-
-    def sort_key(self, a):
-        K = self.K
-        return tuple(K.sort_key(c) for c in a)
-
 
 def hensel_root(R, g, x0):
     """Exact root of the polynomial g over R near x0, by Newton iteration.

@@ -329,21 +329,6 @@ def poly_roots(F, f):
     return sorted(roots, key=F.sort_key)
 
 
-def companion_matrix(F, f):
-    """Matrix of multiplication by x on k[x]/f in basis 1, x, ..., x^(d-1)."""
-    if not f or f[-1] != F.one:
-        raise ValueError("companion matrix needs a monic polynomial")
-    d = poly_deg(f)
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    rows = [[F.zero] * d for _ in range(d)]
-    for i in range(1, d):
-        rows[i][i - 1] = F.one
-    for i in range(d):
-        rows[i][d - 1] = F.neg(f[i])
-    return tuple(tuple(r) for r in rows)
-
-
 def trace_power_sums(F, f, count):
     """h_m = Tr(zeta^m / f'(zeta)) for m = 0..count-1, via the dual-basis
     seed h_0 = ... = h_{d-2} = 0, h_{d-1} = 1 and the recurrence of f."""

@@ -61,13 +61,19 @@ def infinite_split(P):
     if wp and _la.rank(F, _la.mat_mul(F, P.b_inf,
                                       _la.transpose(wp))) != len(wp):
         raise ValueError("pencil is singular")
-    if w and wp:
-        Cp = _la.transpose(wp)
-        for B in (P.b_inf, P.b_0):
-            cross = _la.mat_mul(F, _la.mat_mul(F, w, B), Cp)
-            if any(x != F.zero for row in cross for x in row):
-                raise ValueError("pencil is singular")
+    if w and wp and not _orthogonal(P, w, wp):
+        raise ValueError("pencil is singular")
     return w, wp
+
+
+def _orthogonal(P, U, V):
+    """True when U B V^t vanishes for both forms B of P; U and V hold
+    row vectors."""
+    F = P.ctx
+    Vt = _la.transpose(V)
+    return all(x == F.zero for B in (P.b_inf, P.b_0)
+               for row in _la.mat_mul(F, _la.mat_mul(F, U, B), Vt)
+               for x in row)
 
 
 def primary_split(P):
@@ -86,11 +92,8 @@ def primary_split(P):
         out.append((f, basis))
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            Cj = _la.transpose(out[j][1])
-            for B in (P.b_inf, P.b_0):
-                cross = _la.mat_mul(F, _la.mat_mul(F, out[i][1], B), Cj)
-                if any(x != F.zero for row in cross for x in row):
-                    raise AssertionError("primary components not orthogonal")
+            if not _orthogonal(P, out[i][1], out[j][1]):
+                raise AssertionError("primary components not orthogonal")
     if sum(len(b) for _, b in out) != P.n:
         raise AssertionError("primary components do not fill the space")
     return out
@@ -200,19 +203,27 @@ def local_structure(block, f):
                           gens, orders)
 
 
+def _dual_traces(F, h, u, count):
+    """Tr(u(zeta) zeta^a / f'(zeta)) for a < count, from the sums h_m =
+    Tr(zeta^m / f'(zeta)) of trace_power_sums; u is a coefficient tuple,
+    constant first."""
+    out = []
+    for a in range(count):
+        acc = F.zero
+        for e, c in enumerate(u):
+            if c != F.zero:
+                acc = F.add(acc, F.mul(c, h[a + e]))
+        out.append(acc)
+    return out
+
+
 def _trace_dual_inverse(F, f):
-    """Plain power sums Tr(zeta^t) of k[x]/f and the inverse Gram of the
-    trace pairing Tr(zeta^(s+t)) on the monomial basis."""
+    """Plain power sums Tr(zeta^t) = Tr(zeta^t f'(zeta) / f'(zeta)) of
+    k[x]/f and the inverse Gram of the trace pairing Tr(zeta^(s+t)) on
+    the monomial basis."""
     d = _poly.poly_deg(f)
-    comp = _poly.companion_matrix(F, f)
-    cur = _la.identity(F, d)
-    tr = []
-    for _ in range(2 * d - 1):
-        t = F.zero
-        for i in range(d):
-            t = F.add(t, cur[i][i])
-        tr.append(t)
-        cur = _la.mat_mul(F, cur, comp)
+    h = _poly.trace_power_sums(F, f, 3 * d - 2)
+    tr = _dual_traces(F, h, _poly.poly_deriv(F, f), 2 * d - 1)
     T = tuple(tuple(tr[s + t] for t in range(d)) for s in range(d))
     Tinv = _la.inv(F, T)
     if Tinv is None:
@@ -428,14 +439,7 @@ def canonical_local_block(F, place, ell, delta):
     K = F.extension(f)
     u = field_nonsquare(K) if delta else K.one
     # Tr(u zeta^a / f'(zeta)) by shifting the dual-basis power sums
-    h = _poly.trace_power_sums(F, f, 3 * d - 1)
-    tv = []
-    for a in range(2 * d):
-        acc = F.zero
-        for e in range(d):
-            if u[e] != F.zero:
-                acc = F.add(acc, F.mul(u[e], h[a + e]))
-        tv.append(acc)
+    tv = _dual_traces(F, _poly.trace_power_sums(F, f, 3 * d - 1), u, 2 * d)
     n = d * ell
     binf = [[F.zero] * n for _ in range(n)]
     b0 = [[F.zero] * n for _ in range(n)]
@@ -651,13 +655,10 @@ def descriptor_key(desc):
     return (desc.kronecker_indices, desc.local_blocks)
 
 
-def ip1s_solve(A, B):
-    """Simultaneous equivalence of two symmetric pencils: an invertible S
-    with S^t A_inf S = B_inf and S^t A_0 S = B_0, or None."""
-    if A.ctx != B.ctx or A.n != B.n:
-        raise ValueError("pencils live in different spaces")
-    da = canonicalize(A)
-    db = canonicalize(B)
+def canonical_witness(A, B, da, db):
+    """S with S^t A S = B on both forms, from the canonical descriptors da
+    of A and db of B, or None when their invariants differ.  S is
+    rechecked on the pencils themselves."""
     if descriptor_key(da) != descriptor_key(db):
         return None
     F = A.ctx
@@ -665,6 +666,14 @@ def ip1s_solve(A, B):
     if not verify_ip1s(A, B, S):
         raise AssertionError("canonical transforms disagree on the pencil")
     return S
+
+
+def ip1s_solve(A, B):
+    """Simultaneous equivalence of two symmetric pencils: an invertible S
+    with S^t A_inf S = B_inf and S^t A_0 S = B_0, or None."""
+    if A.ctx != B.ctx or A.n != B.n:
+        raise ValueError("pencils live in different spaces")
+    return canonical_witness(A, B, canonicalize(A), canonicalize(B))
 
 
 def emit_descriptor(F, desc):

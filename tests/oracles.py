@@ -1,7 +1,10 @@
-"""Reference oracles the tests compare the package against: pointwise
+"""Reference oracles the tests compare the package against: square roots
+and local-ring elements by enumeration, the companion matrix, pointwise
 evaluation of forms and pencils, place data read straight off the
 characteristic form, and the exhaustive PGL_2 sweep for the homographies
 relating two binary forms."""
+
+import itertools
 
 from quadpencil import linalg as la
 from quadpencil import poly as pl
@@ -13,6 +16,36 @@ from quadpencil.regular import place_key
 
 def poly_from_ints(F, coeffs):
     return pl.poly_trim(F, [F.scalar(c) for c in coeffs])
+
+
+def sqrt_by_scan(F, x):
+    """The first r in elements() order with r^2 = x, or None."""
+    return next((r for r in F.elements() if F.mul(r, r) == x), None)
+
+
+def ring_elements(R):
+    """Every element of the local ring R = K[pi]/(pi^ell)."""
+    return itertools.product(list(R.K.elements()), repeat=R.ell)
+
+
+def ring_rand(R, rng):
+    """A random element of the local ring R."""
+    return tuple(R.K.rand(rng) for _ in range(R.ell))
+
+
+def companion_matrix(F, f):
+    """Matrix of multiplication by x on k[x]/f in basis 1, x, ..., x^(d-1)."""
+    if not f or f[-1] != F.one:
+        raise ValueError("companion matrix needs a monic polynomial")
+    d = pl.poly_deg(f)
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    rows = [[F.zero] * d for _ in range(d)]
+    for i in range(1, d):
+        rows[i][i - 1] = F.one
+    for i in range(d):
+        rows[i][d - 1] = F.neg(f[i])
+    return tuple(tuple(r) for r in rows)
 
 
 def form_at(f, lam, mu):

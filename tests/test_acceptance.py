@@ -18,7 +18,7 @@ from quadpencil.regular import (canonicalize, descriptor_key,
 
 from oracles import (bruteforce_homographies, candidate_pool,
                      factor_signature, poly_from_ints, regular_form,
-                     regular_part)
+                     regular_part, ring_elements)
 
 _FIELDS = {}
 
@@ -258,7 +258,7 @@ def test_6_unit_forms_over_truncated_rings_reduce_to_two_classes():
         # rank 1 at both precisions: exhaustive unit orbits
         for m in (1, 2):
             R = LocalRing(K, m)
-            units = [x for x in R.elements() if R.is_unit(x)]
+            units = [x for x in ring_elements(R) if R.is_unit(x)]
             DR = R.from_field(delta)
             for u in units:
                 T, flag = diagonalize_unit(R, ((u,),))
@@ -289,7 +289,7 @@ def test_6_unit_forms_over_truncated_rings_reduce_to_two_classes():
                     assert (dtar in orbit) == (flag == "D")
         # rank 2 at precision 2: apply the transform, check the det class
         R = LocalRing(K, 2)
-        ring_elems = list(R.elements())
+        ring_elems = list(ring_elements(R))
         DR = R.from_field(delta)
         for a in ring_elems:
             for b in ring_elems:

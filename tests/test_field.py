@@ -8,6 +8,8 @@ from quadpencil.field import (make_field, field_sqrt, field_nonsquare,
                               parse_field, emit_field, parse_elem,
                               emit_elem)
 
+from oracles import sqrt_by_scan
+
 
 def _field_axioms(F, rng, reps=60):
     xs = [F.rand(rng) for _ in range(reps)]
@@ -115,12 +117,14 @@ def test_sqrt_roundtrip(p, deg):
 
 
 def test_sqrt_is_deterministic_minimum():
-    F = make_field(11)
-    for x in range(11):
-        s = field_sqrt(F, x)
-        if s is not None and x != 0:
-            # the returned root is the smaller of the two
-            assert s == min(s, (11 - s) % 11)
+    # the returned root is the first in elements() order, the smaller of
+    # the two by sort_key
+    primes = [p for p in range(3, 62) if all(p % d for d in range(2, p))]
+    for F in ([make_field(p) for p in primes]
+              + [make_field(3, 2), make_field(5, 2), make_field(3, 3),
+                 make_field(7, 2)]):
+        for x in F.elements():
+            assert field_sqrt(F, x) == sqrt_by_scan(F, x)
 
 
 def test_json_roundtrip():

@@ -107,14 +107,18 @@ def test_candidates_for_class_match_exhaustive_sweep():
               make_field(3, 2)):
         x0, x1, x2 = ((F.scalar(c), F.one) for c in range(3))
         quads = list(itertools.islice(_irreducibles(F, 2), 2))
-        cub = next(_irreducibles(F, 3))
+        cubs = list(itertools.islice(_irreducibles(F, 3), 2))
+        quart = next(_irreducibles(F, 4))
         for places in ((x0, x1, x2),       # point triple
                        tuple(quads),       # two conjugate root pairs
-                       (cub,),             # pinned up to orbit rotation
+                       (cubs[0],),         # pinned up to orbit rotation
                        (x0, quads[0]),     # a point and a root pair
                        (x0, x1),           # split torus
                        (quads[0],),        # nonsplit torus
                        (x0,),              # a lone point
+                       (x0, cubs[0]),      # a point beside a cubic
+                       (quart,),           # one quartic orbit
+                       tuple(cubs),        # a class of two cubics
                        (x0, x1, x2, INF)): # one class of four points:
                                            # the PGL_2 sweep at q = 3
             sig = _signature(F, places)
@@ -229,8 +233,9 @@ def test_mixed_layer_pairs_are_rejected_before_any_candidate(monkeypatch):
 
 
 def test_lone_rational_place_pins_one_point():
-    # one rational place of rank 2: q^3 - q exceeds the sweep budget, so
-    # only the single-point strategy pins a homography
+    # one rational place of rank 2: at q = 103 the PGL_2 sweep exceeds
+    # the budget, so the pool pins the lone point (one row, a
+    # 3-dimensional nullspace)
     F = make_field(103)
     rng = random.Random(103)
     for delta in (False, True):

@@ -8,6 +8,8 @@ from quadpencil.field import make_field
 from quadpencil import linalg as la
 from quadpencil.localring import LocalRing
 
+from oracles import ring_rand
+
 
 def _rand_mat(F, rng, r, c):
     return tuple(tuple(F.rand(rng) for _ in range(c)) for _ in range(r))
@@ -130,7 +132,7 @@ def test_berkowitz_over_local_ring():
     rng = random.Random(26)
     for _ in range(15):
         n = rng.randrange(1, 4)
-        A = tuple(tuple(R.rand(rng) for _ in range(n)) for _ in range(n))
+        A = tuple(tuple(ring_rand(R, rng) for _ in range(n)) for _ in range(n))
         cp = la.berkowitz(R, A)
         # determinant via the constant coefficient, sign-adjusted
         det = cp[0] if n % 2 == 0 else R.neg(cp[0])

@@ -8,9 +8,11 @@ from quadpencil.field import make_field
 from quadpencil.poly import (poly_trim, poly_deg, poly_add, poly_mul,
                              poly_divmod, poly_gcd, poly_monic, poly_eval,
                              poly_factor, poly_roots, is_irreducible,
-                             canonical_modulus, companion_matrix,
-                             trace_power_sums, PolyRing)
+                             canonical_modulus, trace_power_sums,
+                             PolyRing)
 from quadpencil import linalg as la
+
+from oracles import companion_matrix
 
 
 def _rand_poly(F, rng, deg):

@@ -12,11 +12,13 @@ from quadpencil import sampling as sp
 from quadpencil.localring import LocalRing, ring_sqrt
 from quadpencil.pencil import (INF, Pencil, apply_congruence, char_poly,
                                verify_ip1s)
-from quadpencil.poly import (canonical_modulus, companion_matrix,
-                             trace_power_sums)
+from quadpencil.poly import trace_power_sums
 from quadpencil.regular import (canonicalize, canonical_local_block,
                                 descriptor_key, diagonalize_unit,
-                                ip1s_solve, emit_descriptor)
+                                ip1s_solve, emit_descriptor,
+                                _trace_dual_inverse)
+
+from oracles import companion_matrix, ring_rand
 
 
 def test_linear_place_block_oracle():
@@ -64,6 +66,32 @@ def test_block_matches_hankel_times_companion():
         assert blk.b_0 == la.mat_neg(F, la.mat_mul(F, T, M))
         # both Grams symmetric, b_inf invertible
         assert la.is_invertible(F, blk.b_inf)
+
+
+def test_trace_dual_inverse_matches_companion_traces():
+    # Tr(zeta^t) is the trace of the t-th power of the companion matrix
+    rng = random.Random(17)
+    for F in (make_field(3), make_field(5), make_field(7), make_field(101),
+              make_field(3, 2), make_field(5, 2)):
+        for d in (1, 2, 3, 4):
+            found = 0
+            while found < 3:
+                f = tuple(F.rand(rng) for _ in range(d)) + (F.one,)
+                if not poly.is_irreducible(F, f):
+                    continue
+                found += 1
+                M = companion_matrix(F, f)
+                cur, traces = la.identity(F, d), []
+                for _ in range(2 * d - 1):
+                    t = F.zero
+                    for i in range(d):
+                        t = F.add(t, cur[i][i])
+                    traces.append(t)
+                    cur = la.mat_mul(F, cur, M)
+                T = tuple(tuple(traces[s + t] for t in range(d))
+                          for s in range(d))
+                assert _trace_dual_inverse(F, f) == (tuple(traces[:d]),
+                                                     la.inv(F, T))
 
 
 def test_infinite_block_oracle():
@@ -234,7 +262,7 @@ def test_diagonalize_unit_ring_case():
     rng = random.Random(65)
     for _ in range(40):
         n = rng.randrange(1, 4)
-        A = tuple(tuple(R.rand(rng) for _ in range(n)) for _ in range(n))
+        A = tuple(tuple(ring_rand(R, rng) for _ in range(n)) for _ in range(n))
         A = tuple(tuple(R.add(A[i][j], A[j][i]) if i != j else A[i][j]
                         for j in range(n)) for i in range(n))
         det = la.berkowitz(R, A)[0]
