@@ -6,8 +6,8 @@ two."""
 
 from .field import (FiniteField, make_field, field_sqrt, field_nonsquare,
                     parse_field, emit_field, parse_elem, emit_elem)
-from .poly import (poly_factor, poly_roots, canonical_modulus,
-                   is_irreducible, poly_monic, poly_trim)
+from .poly import (poly_factor, canonical_modulus, is_irreducible,
+                   poly_monic, poly_trim)
 from .localring import LocalRing, hensel_root, ring_sqrt
 from .pencil import (Pencil, BinaryForm, Homography, INF, char_poly,
                      twist, apply_congruence, polarize, quadratic_part,
@@ -26,8 +26,8 @@ __version__ = "1.0.0"
 __all__ = [
     "FiniteField", "make_field", "field_sqrt", "field_nonsquare",
     "parse_field", "emit_field", "parse_elem", "emit_elem",
-    "poly_factor", "poly_roots", "canonical_modulus", "is_irreducible",
-    "poly_monic", "poly_trim",
+    "poly_factor", "canonical_modulus", "is_irreducible", "poly_monic",
+    "poly_trim",
     "LocalRing", "hensel_root", "ring_sqrt",
     "Pencil", "BinaryForm", "Homography", "INF", "char_poly", "twist",
     "apply_congruence", "polarize", "quadratic_part", "verify_ip1s",

@@ -87,8 +87,11 @@ def _parse_poly(F, s):
     s = s.replace(" ", "").replace("**", "^").replace("*", "")
     if not s:
         raise ValueError("empty polynomial")
+    terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise ValueError("cannot parse polynomial %r" % s)
     coeffs = {}
-    for term in re.findall(r"[+-]?[^+-]+", s):
+    for term in terms:
         sign = -1 if term.startswith("-") else 1
         body = term.lstrip("+-")
         m = re.fullmatch(r"(\d*)(x(\^(\d+))?)?", body)
@@ -249,8 +252,9 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--blocks", default=None,
                    help="planted structure, e.g. 'K1,K0,L(x^2+1,1,1)'")
-    g.add_argument("--plant-ip1s", action="store_true")
-    g.add_argument("--plant-ip2s", action="store_true")
+    plant = g.add_mutually_exclusive_group()
+    plant.add_argument("--plant-ip1s", action="store_true")
+    plant.add_argument("--plant-ip2s", action="store_true")
     g.add_argument("-o", "--out", default=None,
                    help="output prefix; writes <out>_A.json etc.")
     g.set_defaults(func=cmd_gen)

@@ -15,6 +15,7 @@ sends (x0:x1) to (y0:y1)" is the condition (a x0 + b x1) y1 - (d x0 +
 e x1) y0 = 0, linear in the entries of g.  For a place of degree d, x is
 its root (the class of t) in K = F.extension(place) and y a root of the
 target place in K; the condition's d coordinates over F are d rows.  The
+target's roots in K are one root and its Frobenius conjugates.  The
 candidates for one choice of target roots are the invertible projective
 points of the nullspace of the stacked rows.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 from . import linalg as _la
 from . import poly as _poly
@@ -135,11 +137,17 @@ def _place_root(F, place):
 
 
 def _target_roots(F, K, place):
-    """Every root in K of a place of the same degree as K over F."""
+    """Every root in K of a place of the same degree d as K over F: the
+    first linear factor of the equal-degree split gives one root y, and
+    the others are its conjugates y^q, ..., y^(q^(d-1))."""
     if K is F:
         return [_place_root(F, place)[1]]
-    return [(y, K.one)
-            for y in _poly.poly_roots(K, tuple(K.lift(c) for c in place))]
+    lin = next(_poly._equal_degree(K, tuple(K.lift(c) for c in place), 1,
+                                   random.Random(0x5EED)))
+    roots = [K.neg(lin[0])]
+    for _ in range(K.deg - 1):
+        roots.append(K.pow(roots[-1], F.q))
+    return [(y, K.one) for y in roots]
 
 
 def _pin_rows(F, K, x, y):

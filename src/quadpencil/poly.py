@@ -264,9 +264,12 @@ def _distinct_degree(F, f):
 
 
 def _equal_degree(F, f, d, rng):
-    """Cantor-Zassenhaus split of a squarefree product of degree-d factors."""
+    """Cantor-Zassenhaus split of a squarefree monic product of degree-d
+    factors, yielded depth first so that a caller can stop at the first
+    factor."""
     if poly_deg(f) == d:
-        return [f]
+        yield f
+        return
     n = poly_deg(f)
     while True:
         g = poly_trim(F, [F.rand(rng) for _ in range(n)])
@@ -288,8 +291,8 @@ def _equal_degree(F, f, d, rng):
         h = poly_gcd(F, t, f)
         if 0 < poly_deg(h) < n:
             break
-    rest = poly_divmod(F, f, h)[0]
-    return _equal_degree(F, h, d, rng) + _equal_degree(F, rest, d, rng)
+    yield from _equal_degree(F, h, d, rng)
+    yield from _equal_degree(F, poly_divmod(F, f, h)[0], d, rng)
 
 
 def poly_factor(F, f):
@@ -311,22 +314,6 @@ def poly_factor(F, f):
                 found.append((poly_monic(F, irr), mult))
     found.sort(key=lambda fm: poly_sort_key(F, fm[0]))
     return found
-
-
-def poly_roots(F, f):
-    """Distinct roots of f in F, sorted.  gcd(x^q - x, f) is the
-    squarefree product of the linear factors, so the equal-degree split
-    alone takes it apart."""
-    if not f:
-        raise ValueError("the zero polynomial has every root")
-    x = poly_x(F)
-    h = poly_pow_mod(F, x, F.q, f)
-    g = poly_gcd(F, poly_sub(F, h, x), f)
-    if poly_deg(g) <= 0:
-        return []
-    roots = [F.neg(lin[0])
-             for lin in _equal_degree(F, g, 1, random.Random(0x5EED))]
-    return sorted(roots, key=F.sort_key)
 
 
 def trace_power_sums(F, f, count):

@@ -109,7 +109,6 @@ class LocalStructure:
     x_powers: tuple     # x^0 .. x^(d-1), x the semisimple part of c,
                         # an exact root of f
     pi_powers: tuple    # pi^0 .. pi^(ell-1), pi = c - x nilpotent
-    layer_ranks: tuple  # ((order, count), ...) by descending order
     generators: tuple   # module generators, vectors in block coordinates
     orders: tuple       # pi-order of each generator, descending
 
@@ -182,12 +181,6 @@ def local_structure(block, f):
          for j in range(ell + 1)]
     if len(V[ell]) != m:
         raise AssertionError("pi does not vanish at its nominal order")
-    kd = [len(V[j]) for j in range(ell + 1)] + [len(V[ell])]
-    ranks = []
-    for j in range(ell, 0, -1):
-        cnt = 2 * kd[j] - kd[j - 1] - kd[j + 1]
-        if cnt:
-            ranks.append((j, cnt))
     chains = []
     for j in range(ell, 0, -1):
         base = list(V[j - 1])
@@ -199,8 +192,7 @@ def local_structure(block, f):
         raise AssertionError("kernel filtration miscounts the module")
     gens = tuple(kup(top) for top, _ in chains)
     orders = tuple(j for _, j in chains)
-    return LocalStructure(K, ell, tuple(xpows), tuple(npows), tuple(ranks),
-                          gens, orders)
+    return LocalStructure(K, ell, tuple(xpows), tuple(npows), gens, orders)
 
 
 def _dual_traces(F, h, u, count):

@@ -52,6 +52,14 @@ def test_gen_rejects_bad_requests(capsys):
     for spec in ("L(x,0,1)", "Linf(0,D)", "K0,L(x+1,-1,1)"):
         assert main(["gen", "--q", "5", "--blocks", spec]) == 1
         assert "ell must be at least 1" in capsys.readouterr().err
+    # dangling or doubled signs are a parse error, not a planted x+1
+    for spec in ("L(x++1,1,1)", "L(x+1-,1,1)", "L(--x+1,1,1)",
+                 "L(x^2+,1,1)"):
+        assert main(["gen", "--q", "5", "--blocks", spec]) == 1
+        assert "cannot parse polynomial" in capsys.readouterr().err
+    assert main(["gen", "--q", "5", "--n", "2", "--plant-ip1s",
+                 "--plant-ip2s"]) == 1
+    assert "not allowed with" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 """Every module-level function and class method in the package is used by
-the package or exported, and every exported name resolves."""
+the package or exported, every dataclass field is read, and every
+exported name resolves."""
 
 import ast
 import importlib
@@ -88,6 +89,34 @@ def test_every_method_is_used():
     dead = ["%s:%s.%s" % (mod, cls, name) for mod, cls, name in methods
             if not (name.startswith("__") and name.endswith("__"))
             and name not in attr_uses and not _overrides(mod, cls, name)]
+    assert dead == []
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Every annotated field of a package dataclass is read as an
+    attribute somewhere in the package, so no stage fills a field that
+    nothing consumes."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.extend(
+                    (path.name, node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                reads.add(node.attr)
+    assert fields
+    dead = ["%s:%s.%s" % f for f in fields if f[2] not in reads]
     assert dead == []
 
 

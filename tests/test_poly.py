@@ -1,5 +1,6 @@
 """Polynomial arithmetic, factorization, and trace forms."""
 
+import itertools
 import random
 
 import pytest
@@ -7,10 +8,11 @@ import pytest
 from quadpencil.field import make_field
 from quadpencil.poly import (poly_trim, poly_deg, poly_add, poly_mul,
                              poly_divmod, poly_gcd, poly_monic, poly_eval,
-                             poly_factor, poly_roots, is_irreducible,
+                             poly_factor, is_irreducible,
                              canonical_modulus, trace_power_sums,
-                             PolyRing)
+                             PolyRing, _equal_degree)
 from quadpencil import linalg as la
+from quadpencil.ip2s import _target_roots
 
 from oracles import companion_matrix
 
@@ -62,7 +64,8 @@ def test_factor_multiplicities():
 
 
 def test_factor_product_property():
-    for p, deg in ((3, 1), (7, 1), (3, 2)):
+    # GF(2) and GF(4) take the characteristic-2 equal-degree split
+    for p, deg in ((3, 1), (7, 1), (3, 2), (2, 1), (2, 2)):
         F = make_field(p, deg)
         rng = random.Random(13 + p + deg)
         for _ in range(25):
@@ -76,40 +79,60 @@ def test_factor_product_property():
             assert prod == poly_monic(F, f)
 
 
-def _check_roots(F, f):
-    roots = poly_roots(F, f)
-    assert roots == [x for x in F.elements() if poly_eval(F, f, x) == F.zero]
-    return roots
-
-
-def test_roots_oracle_and_property():
-    F = make_field(7)
-    f = poly_mul(F, poly_mul(F, (6, 1), (5, 1)), (5, 1))  # (x-1)(x-2)^2
-    assert poly_roots(F, f) == [1, 2]
+def test_first_linear_factor_is_a_root():
     rng = random.Random(14)
-    # F_7, GF(9), a cubic extension of F_5, GF(4)
-    for F in (F, make_field(3, 2), make_field(5, 3), make_field(2, 2)):
-        for _ in range(40):
-            _check_roots(F, _rand_poly(F, rng, rng.randrange(1, 6)))
-        # products of distinct linear factors split completely
+    # F_7, GF(9), F_125, GF(4)
+    for F in (make_field(7), make_field(3, 2), make_field(5, 3),
+              make_field(2, 2)):
         elems = list(F.elements())
         for k in range(1, 5):
-            pts = rng.sample(elems, k)
-            f = (F.one,)
-            for x in pts:
-                f = poly_mul(F, f, (F.neg(x), F.one))
-            assert _check_roots(F, f) == sorted(pts, key=F.sort_key)
-    # a place's roots in its own residue field are the Galois orbit of
-    # the class zeta of x
-    for p, d in ((3, 2), (5, 3), (7, 2), (3, 4)):
-        F = make_field(p)
-        f = canonical_modulus(F, d)
-        K = F.extension(f)
-        orbit = [(F.zero, F.one) + (F.zero,) * (d - 2)]
-        for _ in range(d - 1):
-            orbit.append(K.pow(orbit[-1], p))
-        roots = _check_roots(K, tuple(K.lift(c) for c in f))
-        assert roots == sorted(orbit, key=K.sort_key)
+            for _ in range(5):
+                pts = rng.sample(elems, k)
+                f = (F.one,)
+                for x in pts:
+                    f = poly_mul(F, f, (F.neg(x), F.one))
+                split = _equal_degree(F, f, 1, random.Random(0x5EED))
+                lin = next(split)
+                assert len(lin) == 2 and lin[1] == F.one
+                assert F.neg(lin[0]) in pts
+                # the rest of the depth-first split finds the other roots
+                roots = [F.neg(g[0]) for g in (lin, *split)]
+                assert sorted(roots, key=F.sort_key) == sorted(
+                    pts, key=F.sort_key)
+
+
+def _places(F, d):
+    return [f for f in (tuple(tail) + (F.one,) for tail in
+                        itertools.product(list(F.elements()), repeat=d))
+            if is_irreducible(F, f)]
+
+
+def test_target_roots_are_every_root_in_the_residue_field():
+    """The roots of a place t of degree d in K = F.extension(p), p of
+    degree d too, against a search of K, for every pair (p, t) of the
+    places of degree d when there are at most 10, else of three seeded
+    ones."""
+    rng = random.Random(18)
+    cases = [(make_field(p), d) for p in (3, 5, 7) for d in (2, 3, 4)]
+    cases += [(make_field(3, 2), d) for d in (2, 3)]
+    for F, d in cases:
+        if F.q ** d <= 125:
+            places = _places(F, d)
+            if len(places) > 10:
+                places = rng.sample(places, 3)
+        else:
+            places = set()
+            while len(places) < 3:
+                f = _rand_poly(F, rng, d)
+                if is_irreducible(F, f):
+                    places.add(f)
+        for p, t in itertools.product(sorted(places), repeat=2):
+            K = F.extension(p)
+            tK = tuple(K.lift(c) for c in t)
+            want = {y for y in K.elements() if poly_eval(K, tK, y) == K.zero}
+            got = _target_roots(F, K, t)
+            assert all(one == K.one for _, one in got)
+            assert len(got) == d and {y for y, _ in got} == want
 
 
 def test_irreducible_exhaustive_deg2():
