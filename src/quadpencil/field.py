@@ -37,10 +37,10 @@ class FiniteField:
 
     def __init__(self, p, base=None, modulus=None):
         if base is None:
-            if not _is_prime(p):
-                raise ValueError("p = %r is not prime" % (p,))
             if p >= 1 << 16:
                 raise ValueError("p must be < 2^16")
+            if not _is_prime(p):
+                raise ValueError("p = %r is not prime" % (p,))
             self.p = p
             self.base = None
             self.modulus = None

@@ -18,11 +18,11 @@ def _freeze(rows):
 
 
 def _to_np(A):
-    return np.array([list(r) for r in A], dtype=np.int64)
+    return np.array(A, dtype=np.int64)
 
 
 def _from_np(M):
-    return tuple(tuple(int(x) for x in row) for row in M)
+    return tuple(map(tuple, M.tolist()))
 
 
 def identity(F, n):
@@ -70,7 +70,7 @@ def mat_vec(F, A, v):
     if not A:
         return ()
     if F.prime:
-        return tuple(int(x) for x in _to_np(A) @ np.array(v, dtype=np.int64) % F.p)
+        return tuple((_to_np(A) @ np.array(v, dtype=np.int64) % F.p).tolist())
     return tuple(vec_dot(F, row, v) for row in A)
 
 

@@ -40,8 +40,9 @@ def char_endomorphism(P):
 def infinite_split(P):
     """Split V = W + W' with W the stable kernel tower of B_inf (the
     infinite place, B_0 invertible there) and W' its B_0-orthogonal
-    (finite places, B_inf invertible there).  Returns (basis_w, basis_wp)
-    as tuples of row vectors.  Raises on singular pencils."""
+    (finite places, B_inf invertible there).  Returns ((basis_w, W),
+    (basis_wp, W')), each basis a tuple of row vectors and each pencil
+    the restriction of P to it.  Raises on singular pencils."""
     F, n = P.ctx, P.n
     w = _la.nullspace(F, P.b_inf, ncols=n)
     while w:
@@ -61,42 +62,53 @@ def infinite_split(P):
     if wp and _la.rank(F, _la.mat_mul(F, P.b_inf,
                                       _la.transpose(wp))) != len(wp):
         raise ValueError("pencil is singular")
-    if w and wp and not _orthogonal(P, w, wp):
+    parts = _orthogonal_parts(P, (w, wp))
+    if parts is None:
         raise ValueError("pencil is singular")
-    return w, wp
+    return (w, parts[0]), (wp, parts[1])
 
 
-def _orthogonal(P, U, V):
-    """True when U B V^t vanishes for both forms B of P; U and V hold
-    row vectors."""
+def _orthogonal_parts(P, bases):
+    """Restrictions of P to each basis (a tuple of row vectors), read off
+    one congruence onto the stacked bases; None unless that congruence is
+    block diagonal, i.e. the spans are orthogonal for both forms."""
     F = P.ctx
-    Vt = _la.transpose(V)
-    return all(x == F.zero for B in (P.b_inf, P.b_0)
-               for row in _la.mat_mul(F, _la.mat_mul(F, U, B), Vt)
-               for x in row)
+    Q = congruent_pencil(P, _la.transpose(tuple(v for b in bases
+                                                for v in b)))
+    parts, off = [], 0
+    for b in bases:
+        idx = range(off, off + len(b))
+        parts.append(Pencil(F, len(b), _la.submatrix(Q.b_inf, idx, idx),
+                            _la.submatrix(Q.b_0, idx, idx)))
+        off += len(b)
+    if (_la.block_diag(F, [p.b_inf for p in parts]) != Q.b_inf
+            or _la.block_diag(F, [p.b_0 for p in parts]) != Q.b_0):
+        return None
+    return parts
 
 
 def primary_split(P):
     """Factor the characteristic polynomial of c and return the list of
-    (factor, basis of its primary component), in factor order.  Requires
-    B_inf invertible; components are orthogonal for both forms."""
+    (factor, basis of its primary component, restriction of P to it), in
+    factor order.  Requires B_inf invertible; components are orthogonal
+    for both forms."""
     F = P.ctx
     c = char_endomorphism(P)
     cp = _la.charpoly(F, c)
-    out = []
+    factors, bases = [], []
     for f, m in _poly.poly_factor(F, cp):
         img = _la.mat_pow(F, _la.mat_poly_eval(F, f, c), m)
         basis = _la.nullspace(F, img, ncols=P.n)
         if len(basis) != _poly.poly_deg(f) * m:
             raise AssertionError("primary component has wrong dimension")
-        out.append((f, basis))
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if not _orthogonal(P, out[i][1], out[j][1]):
-                raise AssertionError("primary components not orthogonal")
-    if sum(len(b) for _, b in out) != P.n:
+        factors.append(f)
+        bases.append(basis)
+    if sum(len(b) for b in bases) != P.n:
         raise AssertionError("primary components do not fill the space")
-    return out
+    parts = _orthogonal_parts(P, bases)
+    if parts is None:
+        raise AssertionError("primary components not orthogonal")
+    return list(zip(factors, bases, parts))
 
 
 # -- local structure of one primary block --------------------------------
@@ -572,32 +584,20 @@ def _process_place(block, f, cfull, place):
         zeta = (F.neg(f[0]),)
     fp = _poly.poly_deriv(F, f)
     fpz = _poly.poly_eval(K, tuple(K.lift(c) for c in fp), zeta)
-    fns = not K.is_square(fpz)
-    winv = K.inv(fpz)
     entries = []
     for m, coeffcols, layer_gram in layers:
         Rm = _lr.LocalRing(K, m)
-        r = len(coeffcols)
-        shave, flag = diagonalize_unit(Rm, layer_gram)
-        delta_want = (fns and r % 2 == 1) != (flag == "D")
-        units = [K.one] * r
-        if delta_want:
-            units[-1] = field_nonsquare(K)
-        awant = tuple(tuple(Rm.from_field(K.mul(units[s], winv))
-                            if s == t else Rm.zero for t in range(r))
-                      for s in range(r))
-        swant, flag2 = diagonalize_unit(Rm, awant)
-        if flag2 != flag:
-            raise AssertionError("display units land in the wrong class")
-        sinv = _la.ring_inv(Rm, swant)
-        Tm = tuple(tuple(R.lift_from(x) for x in row)
-                   for row in _la.ring_mat_mul(Rm, shave, sinv))
+        # T^t (f'(zeta) G) T = diag(1, ..., 1, u) makes T^t G T the
+        # display diag(1, ..., 1, u) / f'(zeta) of canonical_local_block
+        Tm, flag = diagonalize_unit(
+            Rm, _la.mat_scale(Rm, Rm.from_field(fpz), layer_gram))
         # coeffcols holds one column per layer generator; both changes of
         # generators compose into one matrix over R
-        gens = _apply_ring_transform(
-            F, st, _la.ring_mat_mul(R, _la.transpose(coeffcols), Tm))
+        gens = _apply_ring_transform(F, st, _la.ring_mat_mul(
+            R, _la.transpose(coeffcols),
+            tuple(tuple(R.lift_from(x) for x in row) for row in Tm)))
         for idx, g in enumerate(gens):
-            char = "D" if (delta_want and idx == r - 1) else "1"
+            char = flag if idx == len(gens) - 1 else "1"
             cols = []
             for j in range(m):
                 ng = _la.mat_vec(F, npows[j], g)
@@ -621,20 +621,16 @@ def canonicalize(P):
     reg = kron.regular_part
     entries = []
     if reg.n:
-        wb, wpb = infinite_split(reg)
+        (wb, W), (wpb, sub) = infinite_split(reg)
         if wb:
-            Cw = _la.transpose(wb)
-            W = congruent_pencil(reg, Cw)
             swapped = Pencil(F, W.n, W.b_0, W.b_inf)
-            entries += _process_place(swapped, (F.zero, F.one), Cw, INF)
+            entries += _process_place(swapped, (F.zero, F.one),
+                                      _la.transpose(wb), INF)
         if wpb:
             Cwp = _la.transpose(wpb)
-            sub = congruent_pencil(reg, Cwp)
-            for f, vb in primary_split(sub):
-                Cv = _la.transpose(vb)
-                blk = congruent_pencil(sub, Cv)
-                entries += _process_place(blk, f,
-                                          _la.mat_mul(F, Cwp, Cv), f)
+            for f, vb, blk in primary_split(sub):
+                entries += _process_place(
+                    blk, f, _la.mat_mul(F, Cwp, _la.transpose(vb)), f)
     desc = canonical_assemble(F, kron, entries)
     achieved = apply_congruence(P, desc.transform)
     if achieved != desc.canonical:

@@ -162,3 +162,14 @@ def test_canon_char2_reports_kronecker(tmp_path, capsys):
     assert rc == 0
     assert doc["indices"] == [0, 1]
     assert "regular_part" in doc and "transform" in doc
+
+
+def test_huge_prime_exits_1(tmp_path, capsys):
+    inst = tmp_path / "huge.json"
+    inst.write_text(json.dumps({"field": {"p": 2305843009213693951,
+                                          "degree": 1},
+                                "n": 1, "b_inf": [[1]], "b_0": [[0]]}))
+    assert main(["canon", str(inst)]) == 1
+    assert "2^16" in capsys.readouterr().err
+    assert main(["gen", "--q", "2305843009213693951", "--n", "1"]) == 1
+    assert "2^16" in capsys.readouterr().err

@@ -163,3 +163,10 @@ def test_bad_inputs():
                 {"p": 3, "degree": 2, "modulus": [True, 0, 1]}):
         with pytest.raises(ValueError):
             parse_field(doc)
+
+
+def test_huge_prime_is_refused_before_trial_division():
+    # 2^61 - 1 is prime; trial division up to its square root (about
+    # 1.5e9) would take minutes, so the size bound must be checked first
+    with pytest.raises(ValueError, match="2\\^16"):
+        parse_field({"p": 2305843009213693951, "degree": 1})

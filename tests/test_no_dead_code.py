@@ -120,6 +120,30 @@ def test_every_dataclass_field_is_read():
     assert dead == []
 
 
+def test_every_import_is_used():
+    """Every name a package module imports (the package's __init__, which
+    re-exports, excepted) is read somewhere in that module, so a deletion
+    cannot leave its imports behind."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0]
+                             for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported += [a.asname or a.name for a in node.names]
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += ["%s:%s" % (path.name, name) for name in imported
+                   if name not in read]
+    assert unused == []
+
+
 def test_all_names_resolve():
     missing = [name for name in quadpencil.__all__
                if not hasattr(quadpencil, name)]

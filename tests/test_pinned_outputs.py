@@ -1,13 +1,21 @@
 """Byte-level pin of the solvers' JSON outputs on fixed seeds.
 
-One sha256 covers `emit_descriptor`, `emit_solution` and the Kronecker
-report of fifty small seeded records: singular and planted pencils,
-ip1s and ip2s pairs, over odd-characteristic prime and
+One sha256 (`DIGEST`) covers `emit_descriptor`, `emit_solution` and the
+Kronecker report of fifty small seeded records: singular and planted
+pencils, ip1s and ip2s pairs, over odd-characteristic prime and
 extension fields and over GF(2) and GF(4).  Refactors that keep outputs
-byte-identical keep the digest.  Solving ip2s over GL_2 instead of PGL_2
-(ROADMAP item 1, the scalar class of gamma) changes the reported
-witnesses and will legitimately change the digest; record the new one
-with the change that does it.
+byte-identical keep the digest.  A second one (`INVARIANT_DIGEST`)
+covers the same records with the transforms and S dropped: the
+canonical Kronecker indices and blocks, the full Kronecker reports,
+whether each ip1s pair is equivalent, and for each ip2s pair whether it
+is equivalent and its gamma.
+
+Two ROADMAP items change `DIGEST` legitimately; record the new one with
+the change that does it.  Solving ip2s over GL_2 instead of PGL_2
+(item 1, the scalar class of gamma) changes the reported witnesses, so
+it also changes `INVARIANT_DIGEST`.  Diagonalizing each layer once, on
+f'(zeta) times its Gram (item 4), changes the transforms and S at
+places of degree 2 and more but keeps `INVARIANT_DIGEST`.
 """
 
 import hashlib
@@ -23,8 +31,10 @@ from quadpencil.pencil import (INF, Pencil, apply_congruence, char_poly,
                                emit_pencil, emit_solution, twist)
 from quadpencil.regular import canonicalize, emit_descriptor, ip1s_solve
 
-DIGEST = ("de8ee7e25940986ffd8d211a845e66706"
-          "dd21393eebc9bf353271fd89cfcbce9")
+DIGEST = ("089138e1710c7a15434afd77de3249163"
+          "d0185407e8d05039a97cdde48094e1b")
+INVARIANT_DIGEST = ("3046db974f609031fe1b9809ebbf2c798"
+                    "66378a4074605ee886e9f462ae9b771")
 
 
 def _planted(F, rng, kron, blocks):
@@ -121,12 +131,35 @@ def _records():
             yield "kron", _kron_doc(F, kronecker_decompose(P))
 
 
-def test_outputs_are_pinned():
-    h = hashlib.sha256()
+def _invariant(kind, doc):
+    """The part of a record that no choice of transform or S affects."""
+    if kind == "canon":
+        return {k: v for k, v in doc.items() if k != "transform"}
+    if kind == "kron":
+        return doc
+    out = {"equivalent": doc != NOT_EQUIVALENT}
+    if "gamma" in doc:
+        out["gamma"] = doc["gamma"]
+    return out
+
+
+def _digests():
+    full, inv = hashlib.sha256(), hashlib.sha256()
     count = 0
     for kind, doc in _records():
-        h.update(json.dumps([kind, doc], sort_keys=True).encode())
-        h.update(b"\n")
+        full.update(json.dumps([kind, doc], sort_keys=True).encode())
+        full.update(b"\n")
+        inv.update(json.dumps([kind, _invariant(kind, doc)],
+                              sort_keys=True).encode())
+        inv.update(b"\n")
         count += 1
     assert count == 50
-    assert h.hexdigest() == DIGEST
+    return full.hexdigest(), inv.hexdigest()
+
+
+def test_outputs_are_pinned():
+    assert _digests()[0] == DIGEST
+
+
+def test_invariants_are_pinned():
+    assert _digests()[1] == INVARIANT_DIGEST

@@ -8,6 +8,7 @@ import pytest
 from quadpencil.field import make_field, field_nonsquare
 from quadpencil import linalg as la
 from quadpencil import poly
+from quadpencil import regular
 from quadpencil import sampling as sp
 from quadpencil.localring import LocalRing, ring_sqrt
 from quadpencil.pencil import (INF, Pencil, apply_congruence, char_poly,
@@ -50,6 +51,35 @@ def test_canonicalize_tests_each_modulus_once(monkeypatch):
         canonicalize(P)
     assert sorted(seen) == sorted((id(F), f) for f in
                                   ((0, 1), (2, 1), (1, 0, 1), (3, 1)))
+
+
+def test_canonicalize_diagonalizes_each_layer_once(monkeypatch):
+    rng = random.Random(19)
+    F = make_field(5)
+    pencils = [
+        sp.planted_pencil(F, rng, (0,), ((INF, 2, True), ((2, 0, 1), 1, False),
+                                         ((2, 0, 1), 1, True),
+                                         ((2, 0, 1), 2, False),
+                                         ((1, 1), 1, False)))[0],
+        sp.planted_pencil(make_field(3, 2, (1, 0, 1)), rng, (),
+                          ((INF, 1, False), (((0, 1), (1, 0)), 3, True),
+                           (((0, 1), (1, 0)), 1, False)))[0],
+        sp.rand_pencil(F, rng, 6),
+    ]
+    calls = []
+    real = regular.diagonalize_unit
+
+    def counted(R, A):
+        calls.append(R)
+        return real(R, A)
+
+    monkeypatch.setattr(regular, "diagonalize_unit", counted)
+    layers = 0
+    for P in pencils:
+        desc = canonicalize(P)
+        layers += len({(b.place, b.ell) for b in desc.local_blocks})
+    assert layers >= 7
+    assert len(calls) == layers
 
 
 def test_block_matches_hankel_times_companion():
@@ -150,18 +180,50 @@ def test_canonicalize_idempotent_and_invariant():
             assert d3.canonical.b_0 == d1.canonical.b_0
 
 
+def _fprime_at_root(F, f):
+    """f'(zeta) in K = F[x]/f, zeta the class of x, for deg f >= 2."""
+    K = F.extension(f)
+    zeta = (F.zero, F.one) + (F.zero,) * (len(f) - 3)
+    return K, poly.poly_eval(K, tuple(K.lift(c)
+                                      for c in poly.poly_deriv(F, f)), zeta)
+
+
 def test_planted_blocks_recovered():
-    F = make_field(7)
+    f7, f3, f5 = make_field(7), make_field(3), make_field(5)
+    f9 = make_field(3, 2, (1, 0, 1))
     rng = random.Random(61)
     f2 = (2, 2, 1)                       # factor of x^4 + 4
+    # places whose f'(zeta) is a non-square of their residue field K, so
+    # that a layer with an odd number of generators takes its character
+    # from the scaled Gram f'(zeta) G, not from G; the norm of f'(zeta)
+    # is -disc(f), a non-square for cubics over F_3 and for quadratics
+    # over F_5 and GF(9)
+    c1, c2 = (1, 2, 0, 1), (2, 2, 0, 1)  # x^3 + 2x + 1, x^3 + 2x + 2
+    q1, q2 = (2, 0, 1), (1, 1, 1)        # x^2 + 2, x^2 + x + 1
+    g1 = (f9.neg(field_nonsquare(f9)), f9.zero, f9.one)
+    for F, f in ((f3, c1), (f3, c2), (f5, q1), (f5, q2), (f9, g1)):
+        K, fpz = _fprime_at_root(F, f)
+        assert poly.is_irreducible(F, f) and not K.is_square(fpz)
     cases = [
-        ([], [((3, 1), 1, False), ((3, 1), 1, False)]),
-        ([], [((3, 1), 2, True)]),
-        ([0], [(f2, 1, False), (f2, 2, False)]),
-        ([1], [(INF, 3, False)]),
-        ([], [(INF, 1, True), ((1, 1), 1, False), (f2, 1, True)]),
+        (f7, [], [((3, 1), 1, False), ((3, 1), 1, False)]),
+        (f7, [], [((3, 1), 2, True)]),
+        (f7, [0], [(f2, 1, False), (f2, 2, False)]),
+        (f7, [1], [(INF, 3, False)]),
+        (f7, [], [(INF, 1, True), ((1, 1), 1, False), (f2, 1, True)]),
+        (f3, [], [(c1, 1, False)]),
+        (f3, [], [(c1, 1, True)]),
+        (f3, [0], [(c1, 1, False), (c1, 1, False), (c1, 1, True),
+                   (c2, 2, False)]),
+        (f3, [], [(c2, 2, True), (c1, 1, False), (INF, 1, True)]),
+        (f5, [], [(q1, 1, False), (q1, 1, False), (q1, 1, False)]),
+        (f5, [], [(q1, 1, False), (q1, 1, True), (q1, 1, False),
+                  (q2, 2, True)]),
+        (f5, [1], [(q2, 3, False), ((2, 1), 1, True)]),
+        (f9, [], [(g1, 1, False)]),
+        (f9, [], [(g1, 1, True), (g1, 2, False), (g1, 2, False),
+                  (g1, 2, True)]),
     ]
-    for kron, blocks in cases:
+    for F, kron, blocks in cases:
         P, _ = sp.planted_pencil(F, rng, kron=kron, blocks=blocks)
         desc = canonicalize(P)
         assert desc.kronecker_indices == tuple(sorted(kron))
