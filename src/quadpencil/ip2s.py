@@ -7,8 +7,19 @@ that place under g, with the same module structure, and scaling the
 pencil changes only square-class characters.  So g must carry each place
 of B onto a place of A of the same degree and the same layer ranks (the
 number of free layers of each nilpotency order ell).  A finite candidate
-set is pinned down from these place classes and each survivor is checked
-by the one-sided solver on the full pencils.
+set is pinned down from these place classes.  A and B are canonicalized
+once; each candidate is checked by carrying A's layers over by g, and
+only the winner's twist is canonicalized, to build S.
+
+The transport rule works in F alone.  Write g = ((a, b), (d, e)).  A
+place p of degree k of twist(A, g), with g(p) = t a place of A, takes
+the layers (ell, r) of A at t.  Let (u, v) = (a, b) when t is INF and
+(d, e) otherwise; let N = u when p is INF and otherwise
+N_{K/F}(u zeta + v) for a root zeta of p, which is (-u)^k p(-v/u) for
+u != 0 and v^k for u = 0; and let s = -1 when exactly one of p and t is
+INF and s = 1 otherwise.  With eps 1 on
+non-squares and 0 on squares, the layer flips its character exactly
+when r is odd and eps(N) + ell k eps(s det g) is odd.
 
 Pinning is linear algebra over the base field.  "g = ((a, b), (d, e))
 sends (x0:x1) to (y0:y1)" is the condition (a x0 + b x1) y1 - (d x0 +
@@ -25,16 +36,10 @@ choose from) times (q^k - 1)/(q - 1) with k = 4 - min(3, sum of deg p)
 (the projective points of a k-dimensional nullspace).  The empty set is
 the sweep of all of PGL_2.  A class is the set of places of one degree
 and one set of layer ranks.  The cost counts every projective point of
-each nullspace, invertible or not.  It agrees with the per-shape costs
-of the point triple, a point and a root pair, two root pairs, one
-Galois orbit, a root pair alone (the nonsplit torus) and a lone point.
-Two points alone (the split torus) cost q + 1, of which q - 1 points
-are invertible, and the sweep costs (q^4 - 1)/(q - 1) against the
-q^3 - q elements of PGL_2; by either count the sweep fits SWEEP_BUDGET
-for exactly q <= 97.  The pool does not depend on which places are
-pinned: every choice enumerates each homography that carries the
-places of one pencil onto those of the other class by class, and the
-filter by every class keeps exactly those.
+each nullspace, invertible or not.  The pool does not depend on which
+places are pinned: every choice enumerates each homography that carries
+the places of one pencil onto those of the other class by class, and
+the filter by every class keeps exactly those.
 """
 
 from __future__ import annotations
@@ -56,7 +61,18 @@ CANDIDATE_BUDGET = 100_000
 SWEEP_BUDGET = 1_000_000
 
 
-# -- place signatures ------------------------------------------------------
+# -- place signatures and layer transport ----------------------------------
+
+
+def _layers(desc):
+    """The layers of a canonical descriptor as a dict mapping (place, ell)
+    to (r, delta): r free layers of order ell at the place, of either
+    character, and delta True when one of them carries the non-square."""
+    out = {}
+    for b in desc.local_blocks:
+        r, delta = out.get((b.place, b.ell), (0, False))
+        out[b.place, b.ell] = (r + b.mult, delta or b.character == "D")
+    return out
 
 
 def _signature_of_descriptor(F, desc):
@@ -66,15 +82,13 @@ def _signature_of_descriptor(F, desc):
     layers of order ell at the place, of either character, ell ascending.
     A twist and a scalar carry a place to a place with the same degree
     and layer ranks, but may change the characters, so those are left
-    out.  Read off a canonical descriptor, whose local blocks carry every
-    place with its layer multiplicities."""
+    out."""
     ranks = {}
-    for b in desc.local_blocks:
-        layers = ranks.setdefault(b.place, {})
-        layers[b.ell] = layers.get(b.ell, 0) + b.mult
+    for (place, ell), (r, _) in _layers(desc).items():
+        ranks.setdefault(place, []).append((ell, r))
     out = {}
     for place, layers in ranks.items():
-        key = (_place_degree(place), tuple(sorted(layers.items())))
+        key = (_place_degree(place), tuple(sorted(layers)))
         out.setdefault(key, []).append(place)
     return {de: tuple(sorted(places, key=lambda p: place_key(F, p)))
             for de, places in out.items()}
@@ -84,37 +98,39 @@ def _place_degree(place):
     return 1 if place is INF else _poly.poly_deg(place)
 
 
-def _place_point(F, place):
-    """Degree-1 place as a point of the projective line."""
-    if place is INF:
-        return INF
-    return F.neg(place[0])
+def _image(F, g, place):
+    """The place whose roots are g(x) for the roots x of place."""
+    if _place_degree(place) == 1:
+        y = g.apply_point(INF if place is INF else F.neg(place[0]))
+        return INF if y is INF else (F.neg(y), F.one)
+    # an irreducible form of degree >= 2 has no rational root, so the
+    # moved form keeps its lambda^d term
+    moved = BinaryForm.from_affine(F, place, _poly.poly_deg(place))
+    return tuple(moved.compose(g.inverse()).normalized().coeffs)
 
 
-def _place_form(F, place):
-    """Place as a normalized binary form; INF is the form mu."""
-    if place is INF:
-        return BinaryForm.make(F, 1, (F.one, F.zero))
-    return BinaryForm.from_affine(F, place, _poly.poly_deg(place))
-
-
-def _maps_onto(F, g, src_places, dst_places):
-    """True when g carries the place set src_places onto dst_places."""
-    dst = set(dst_places)
-    ginv = None
-    for place in src_places:
-        if _place_degree(place) == 1:
-            image = g.apply_point(_place_point(F, place))
-            target = INF if image is INF else (F.neg(image), F.one)
+def _twisted_layers(F, layers, g):
+    """The layers of twist(A, g) from the layers of A, by the transport
+    rule of the module docstring; every square class is taken in F."""
+    (a, b), (d, e) = g.m
+    det = F.sub(F.mul(a, e), F.mul(b, d))
+    ginv = g.inverse()
+    out = {}
+    for (t, ell), (r, delta) in layers.items():
+        p = _image(F, ginv, t)
+        u, v = (a, b) if t is INF else (d, e)
+        k = _place_degree(p)
+        if p is INF:
+            norm = u
+        elif u == F.zero:
+            norm = F.pow(v, k)
         else:
-            if ginv is None:
-                ginv = g.inverse()
-            moved = _place_form(F, place).compose(ginv).normalized()
-            target = (tuple(moved.coeffs)
-                      if moved.coeffs[-1] == F.one else None)
-        if target not in dst:
-            return False
-    return True
+            norm = F.mul(F.pow(F.neg(u), k),
+                         _poly.poly_eval(F, p, F.neg(F.div(v, u))))
+        s = det if (p is INF) == (t is INF) else F.neg(det)
+        odd = (not F.is_square(norm)) + ell * k * (not F.is_square(s))
+        out[p, ell] = (r, delta != (r % 2 == 1 and odd % 2 == 1))
+    return out
 
 
 # -- linear pinning -----------------------------------------------------------
@@ -237,10 +253,11 @@ def _candidate_pool(F, sig_src, sig_dst):
                 for s in itertools.combinations(items, r)), key=cost)
     if cost(pins) > SWEEP_BUDGET:
         raise ValueError("candidate enumeration exceeds the search budget")
+    dst = {de: set(sig_dst[de]) for de in classes}
     out = []
     for g in _pinned(F, [(p, sig_dst[de]) for p, de in pins]):
-        if all(_maps_onto(F, g, sig_src[de], sig_dst[de])
-               for de in classes):
+        if all(_image(F, g, p) in dst[de]
+               for de in classes for p in sig_src[de]):
             out.append(g)
             if len(out) > CANDIDATE_BUDGET:
                 raise ValueError("candidate homographies exceed the "
@@ -250,9 +267,11 @@ def _candidate_pool(F, sig_src, sig_dst):
 
 def ip2s_solve(A, B):
     """(S, g) with S^t twist(A, g) S = B, or None when no pair exists.
-    Among the surviving candidates the homography with the smallest
-    matrix wins.  Candidates come from the regular parts; the final
-    check runs on the full pencils."""
+    Among the candidates whose transported layers are those of B the
+    homography with the smallest matrix wins.  Only the winner's twist
+    is canonicalized, to build S; a winner whose canonical key disagrees
+    with its transported layers raises AssertionError.  Candidates come
+    from the regular parts; the final check runs on the full pencils."""
     if A.ctx != B.ctx or A.n != B.n:
         raise ValueError("pencils live in different spaces")
     F = A.ctx
@@ -265,9 +284,13 @@ def ip2s_solve(A, B):
     if not sig_b:
         S = canonical_witness(A, B, da, db)
         return None if S is None else (S, Homography.identity(F))
+    layers_a, layers_b = _layers(da), _layers(db)
     for g in _candidate_pool(F, sig_b, sig_a):
-        At = twist(A, g)
-        S = canonical_witness(At, B, canonicalize(At), db)
-        if S is not None:
+        if _twisted_layers(F, layers_a, g) == layers_b:
+            At = twist(A, g)
+            S = canonical_witness(At, B, canonicalize(At), db)
+            if S is None:
+                raise AssertionError("transported layers disagree with "
+                                     "the canonical form of the twist")
             return S, g
     return None

@@ -42,11 +42,6 @@ def kh_matrix(F, h):
     return Pencil.make(F, binf, b0)
 
 
-def _cols(vectors):
-    """Matrix whose columns are the given vectors."""
-    return _la.transpose(tuple(vectors))
-
-
 def _principal(P, idx):
     """The sub-pencil on the coordinates idx."""
     return Pencil.make(P.ctx, _la.submatrix(P.b_inf, idx, idx),
@@ -97,10 +92,10 @@ def minimal_chain(P):
         history.append(H)
         h = len(history) - 1
         # intersection of span(H) with Ker B_0
-        img = _la.mat_mul(F, P.b_0, _cols(H))
+        img = _la.mat_mul(F, P.b_0, _la.transpose(H))
         coeffs = _la.nullspace(F, img)
         if coeffs:
-            u = _la.mat_vec(F, _cols(H), coeffs[0])
+            u = _la.mat_vec(F, _la.transpose(H), coeffs[0])
             return _chain_from_tail(P, history, h, u)
         if h > 0 and len(H) == len(history[h - 1]):
             return None  # fixpoint without isotropic vector: regular
@@ -124,11 +119,11 @@ def _chain_from_tail(P, history, h, u_h):
     us = [u_h]
     for j in range(h, 0, -1):
         rhs = _la.mat_vec(F, P.b_inf, us[-1])
-        A = _la.mat_mul(F, P.b_0, _cols(history[j - 1]))
+        A = _la.mat_mul(F, P.b_0, _la.transpose(history[j - 1]))
         t = _la.solve(F, A, rhs)
         if t is None:
             raise AssertionError("tower back-substitution failed")
-        us.append(_la.mat_vec(F, _cols(history[j - 1]), t))
+        us.append(_la.mat_vec(F, _la.transpose(history[j - 1]), t))
     # us[i] = u_{h-i}; chain e_i = (-1)^(h-i) u_{h-i}
     es = []
     for i in range(h + 1):
@@ -168,7 +163,7 @@ def _split_basis(P, c):
     for j, f in enumerate(fs):
         cols.append(f if j % 2 == 0 else tuple(F.neg(x) for x in f))
     cols.extend(gs)
-    return _cols(cols), h, m
+    return _la.transpose(cols), h, m
 
 
 def _staircase_correction(F, T, h, m):

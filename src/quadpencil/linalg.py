@@ -136,7 +136,9 @@ def _rref_np(A, p):
 
 
 def rref(F, A):
-    """Reduced row echelon form and pivot columns; canonical."""
+    """Reduced row echelon form and pivot columns; canonical.  Pivots
+    are units, so over a local ring a column with no unit left is
+    skipped."""
     if not A:
         return (), ()
     if F.prime:
@@ -148,11 +150,7 @@ def rref(F, A):
     for c in range(nc):
         if r == nr:
             break
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c] != F.zero:
-                pr = i
-                break
+        pr = next((i for i in range(r, nr) if F.is_unit(rows[i][c])), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
@@ -213,9 +211,8 @@ def mat_solve(F, A, B):
 
 
 def inv(F, A):
-    """Inverse matrix, or None when singular."""
-    if not F.prime:
-        return ring_inv(F, A)
+    """Inverse matrix over a field or a local ring, by rref of [A | I]
+    with unit pivots; None when singular."""
     n = len(A)
     if n == 0:
         return ()
@@ -223,6 +220,11 @@ def inv(F, A):
     if len(pivots) != n or pivots[-1] != n - 1:
         return None
     return tuple(r[n:] for r in R)
+
+
+#: The same inverse under its own name, so that local-ring inversions
+#: are traced apart from field ones.
+ring_inv = inv
 
 
 def is_invertible(F, A):
@@ -327,32 +329,6 @@ def det(F, A):
     cp = charpoly(F, A)
     d = cp[0]
     return F.neg(d) if n % 2 else d
-
-
-def ring_inv(R, A):
-    """Inverse over a ring context with is_unit/inv (local rings, fields),
-    by Gauss-Jordan with unit pivoting; None when not invertible."""
-    n = len(A)
-    if n == 0:
-        return ()
-    M = [list(A[i]) + [R.one if j == i else R.zero for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if R.is_unit(M[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return None
-        M[c], M[pr] = M[pr], M[c]
-        piv = R.inv(M[c][c])
-        M[c] = [R.mul(piv, x) for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != R.zero:
-                f = M[i][c]
-                M[i] = [R.sub(x, R.mul(f, y)) for x, y in zip(M[i], M[c])]
-    return tuple(tuple(row[n:]) for row in M)
 
 
 def mat_pow(F, M, e):

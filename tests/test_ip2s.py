@@ -11,7 +11,8 @@ from quadpencil import poly as pl
 from quadpencil import sampling as sp
 from quadpencil import ip2s
 from quadpencil.ip2s import (ip2s_solve, _candidate_pool, _homography_key,
-                             _maps_onto, _signature_of_descriptor)
+                             _image, _layers, _place_degree,
+                             _signature_of_descriptor, _twisted_layers)
 from quadpencil.pencil import (Pencil, BinaryForm, Homography, INF,
                                apply_congruence, char_poly, twist,
                                verify_ip2s)
@@ -91,8 +92,8 @@ def _irreducibles(F, d):
 
 def _sweep(F, sig_src, sig_dst):
     return {_homography_key(F, g) for g in all_homographies(F)
-            if all(_maps_onto(F, g, sig_src[de], sig_dst[de])
-                   for de in sig_src)}
+            if all(_image(F, g, p) in sig_dst[de]
+                   for de in sig_src for p in sig_src[de])}
 
 
 def _signature(F, places):
@@ -212,6 +213,77 @@ def _count_canonicalize(monkeypatch):
     return calls
 
 
+def _solve(monkeypatch, A, B):
+    """ip2s_solve(A, B), which canonicalizes A, B and at most the
+    winner's twist."""
+    calls = _count_canonicalize(monkeypatch)
+    out = ip2s_solve(A, B)
+    assert len(calls) <= 3
+    return out
+
+
+def test_transported_layers_match_canonical_twist():
+    # the transport rule against canonicalize on the twist, with layers
+    # of order ell <= 3 at INF and at places of degree 1 to 3; every third
+    # g fixes INF
+    rng = random.Random(107)
+    seen = set()
+    for F in (make_field(3), make_field(5), make_field(7), make_field(13),
+              make_field(3, 2)):
+        quad = next(_irreducibles(F, 2))
+        cub = next(_irreducibles(F, 3))
+        for i in range(8):
+            blocks = []
+            for _ in range(rng.randint(1, 3)):
+                place = rng.choice((INF, INF, (F.rand(rng), F.one),
+                                    (F.rand(rng), F.one), quad, cub))
+                ell = rng.randint(1, 3 if _place_degree(place) == 1 else 2)
+                blocks.append((place, ell, rng.random() < 0.5))
+            A = sp.planted_pencil(F, rng, (), tuple(blocks))[0]
+            g = sp.rand_homography(F, rng)
+            while i % 3 == 0 and g.m[1][0] != F.zero:
+                g = sp.rand_homography(F, rng)    # one fixing INF
+            layers = _layers(canonicalize(A))
+            assert (_twisted_layers(F, layers, g)
+                    == _layers(canonicalize(twist(A, g))))
+            for t, _ in layers:
+                seen.add((_image(F, g.inverse(), t) is INF, t is INF,
+                          _place_degree(t)))
+    assert {(p, t) for p, t, _ in seen} == set(
+        itertools.product((False, True), repeat=2))
+    assert {k for _, _, k in seen} == {1, 2, 3}
+
+
+def test_lone_rational_place_rejected_without_candidates(monkeypatch):
+    # one rank-2 layer at one rational place whose discriminant classes
+    # differ: no twist carries one onto the other, so no candidate of the
+    # lone-point pool at q = 103 is canonicalized
+    rng = random.Random(109)
+    F = make_field(103)
+    A = sp.planted_pencil(F, rng, (), (((5, 1), 1, False),
+                                       ((5, 1), 1, False)))[0]
+    B = sp.planted_pencil(F, rng, (), (((7, 1), 1, False),
+                                       ((7, 1), 1, True)))[0]
+    calls = _count_canonicalize(monkeypatch)
+    assert ip2s_solve(A, B) is None
+    assert len(calls) == 2
+
+
+def test_wrong_transport_raises(monkeypatch):
+    # a transport that matches every candidate of a non-equivalent pair
+    # is caught on the winner's canonical form
+    F = make_field(7)
+    nsq = next(x for x in F.elements()
+               if x != F.zero and not F.is_square(x))
+    C = Pencil.make(F, la.identity(F, 3), la.zeros(F, 3, 3))
+    D = Pencil.make(F, _diag(F, (1, 1, nsq)), la.zeros(F, 3, 3))
+    layers_d = _layers(canonicalize(D))
+    monkeypatch.setattr(ip2s, "_twisted_layers",
+                        lambda F, layers, g: layers_d)
+    with pytest.raises(AssertionError, match="transported"):
+        ip2s_solve(C, D)
+
+
 def test_mixed_layer_pairs_are_rejected_before_any_candidate(monkeypatch):
     # the non-equivalent shapes of the benchmark: one ell = 2 layer
     # against two ell = 1 layers, with a split-torus pool at q = 103 and
@@ -232,7 +304,7 @@ def test_mixed_layer_pairs_are_rejected_before_any_candidate(monkeypatch):
             assert len(calls) == 2
 
 
-def test_lone_rational_place_pins_one_point():
+def test_lone_rational_place_pins_one_point(monkeypatch):
     # one rational place of rank 2: at q = 103 the PGL_2 sweep exceeds
     # the budget, so the pool pins the lone point (one row, a
     # 3-dimensional nullspace)
@@ -242,64 +314,64 @@ def test_lone_rational_place_pins_one_point():
         A = sp.planted_pencil(F, rng, (), (((5, 1), 1, False),
                                            ((5, 1), 1, delta)))[0]
         B, _ = _plant(F, rng, A)
-        out = ip2s_solve(A, B)
+        out = _solve(monkeypatch, A, B)
         assert out is not None
         assert verify_ip2s(A, B, *out)
 
 
-def test_round_trip_planted_regular():
+def test_round_trip_planted_regular(monkeypatch):
     rng = random.Random(61)
     for q, deg in ((3, 1), (5, 1), (7, 1), (3, 2)):
         F = make_field(q, deg)
         for n in (1, 2, 3, 4):
             A = sp.rand_regular_pencil(F, rng, n)
             B, _ = _plant(F, rng, A)
-            out = ip2s_solve(A, B)
+            out = _solve(monkeypatch, A, B)
             assert out is not None
             S, g = out
             assert verify_ip2s(A, B, S, g)
 
 
-def test_round_trip_planted_singular_mix():
+def test_round_trip_planted_singular_mix(monkeypatch):
     rng = random.Random(67)
     F = make_field(5)
     for kron, blocks in (((0, 1), (((2, 1), 1, False),)),
                          ((2,), ((INF, 1, True), ((1, 1), 2, False)))):
         A = sp.planted_pencil(F, rng, kron=kron, blocks=blocks)[0]
         B, _ = _plant(F, rng, A)
-        out = ip2s_solve(A, B)
+        out = _solve(monkeypatch, A, B)
         assert out is not None
         S, g = out
         assert verify_ip2s(A, B, S, g)
 
 
-def test_inequivalent_pairs_give_none():
+def test_inequivalent_pairs_give_none(monkeypatch):
     F = make_field(7)
     # irreducible place against a split pair of rational places
     A = Pencil.make(F, la.identity(F, 2), ((1, 3), (3, 6)))
     B = Pencil.make(F, la.identity(F, 2), ((0, 0), (0, 6)))
     assert candidate_pool(F, canonicalize(A), canonicalize(B)) == ()
-    assert ip2s_solve(A, B) is None
+    assert _solve(monkeypatch, A, B) is None
     # same places, mismatched character: diag(1, 1, a) vs diag(1, 1, b)
     rng = random.Random(71)
     nsq = next(x for x in F.elements()
                if x != F.zero and not F.is_square(x))
     C = Pencil.make(F, la.identity(F, 3), la.zeros(F, 3, 3))
     D = Pencil.make(F, _diag(F, (1, 1, nsq)), la.zeros(F, 3, 3))
-    assert ip2s_solve(C, D) is None
+    assert _solve(monkeypatch, C, D) is None
     # kronecker mismatch
     E = sp.planted_pencil(F, rng, kron=(0, 0, 0),
                           blocks=(((3, 1), 1, False),))[0]
     G = sp.planted_pencil(F, rng, kron=(1,), blocks=(((3, 1), 1, False),))[0]
-    assert ip2s_solve(E, G) is None
+    assert _solve(monkeypatch, E, G) is None
 
 
-def test_fully_singular_pair_uses_identity_homography():
+def test_fully_singular_pair_uses_identity_homography(monkeypatch):
     rng = random.Random(73)
     F = make_field(5)
     A = sp.planted_pencil(F, rng, kron=(0, 1))[0]
     B, _ = _plant(F, rng, A)
-    out = ip2s_solve(A, B)
+    out = _solve(monkeypatch, A, B)
     assert out is not None
     S, g = out
     assert g.m == Homography.identity(F).m
@@ -308,7 +380,7 @@ def test_fully_singular_pair_uses_identity_homography():
         candidate_pool(F, canonicalize(A), canonicalize(B))
 
 
-def test_large_field_split_torus_pinning():
+def test_large_field_split_torus_pinning(monkeypatch):
     q = 10007
     F = make_field(q)
     rng = random.Random(79)
@@ -316,12 +388,12 @@ def test_large_field_split_torus_pinning():
     B, g0 = _plant(F, rng, A)
     pool = candidate_pool(F, canonicalize(A), canonicalize(B))
     assert _homography_key(F, g0) in {_homography_key(F, g) for g in pool}
-    out = ip2s_solve(A, B)
+    out = _solve(monkeypatch, A, B)
     assert out is not None
     assert verify_ip2s(A, B, *out)
 
 
-def test_large_field_nonsplit_torus_pinning():
+def test_large_field_nonsplit_torus_pinning(monkeypatch):
     q = 10007
     F = make_field(q)
     rng = random.Random(83)
@@ -332,12 +404,12 @@ def test_large_field_nonsplit_torus_pinning():
     B, g0 = _plant(F, rng, A)
     pool = candidate_pool(F, canonicalize(A), canonicalize(B))
     assert _homography_key(F, g0) in {_homography_key(F, g) for g in pool}
-    out = ip2s_solve(A, B)
+    out = _solve(monkeypatch, A, B)
     assert out is not None
     assert verify_ip2s(A, B, *out)
 
 
-def test_large_field_mixed_point_and_quadratic_pinning():
+def test_large_field_mixed_point_and_quadratic_pinning(monkeypatch):
     q = 10007
     F = make_field(q)
     rng = random.Random(89)
@@ -351,7 +423,7 @@ def test_large_field_mixed_point_and_quadratic_pinning():
     pool = candidate_pool(F, canonicalize(A), canonicalize(B))
     assert len(pool) <= 4
     assert _homography_key(F, g0) in {_homography_key(F, g) for g in pool}
-    out = ip2s_solve(A, B)
+    out = _solve(monkeypatch, A, B)
     assert out is not None
     assert verify_ip2s(A, B, *out)
 
