@@ -3,8 +3,18 @@
 A prime-field element is an int in [0, p); an extension element is a
 fixed-length tuple of base-field elements, constant coefficient first.
 All arithmetic goes through the context object, so matrices stay nested
-tuples that numpy can ingest on the prime-field fast paths.  Towers are
-allowed: an extension's base may itself be an extension.
+tuples that numpy can ingest.  Towers are allowed: an extension's base
+may itself be an extension.
+
+Scalar arithmetic takes one of three paths.  Prime fields use Python
+ints.  An absolute extension GF(p^k) with q <= TABLE_MAX_Q multiplies,
+inverts and raises to powers through log/antilog tables, built on first
+use and kept on the field object (extension() keeps one object per
+modulus).  Larger absolute extensions and towers multiply by schoolbook
+convolution and invert by the extended Euclidean algorithm.  Every
+absolute extension also carries `red_rows`, the rows x^t mod f for
+t < 2k - 1 that reduce a product's convolution, which the
+coefficient-plane matrix kernels of `linalg` share.
 """
 
 from __future__ import annotations
@@ -16,6 +26,12 @@ import numpy as np
 from . import poly as _poly
 
 
+#: Largest absolute extension given log/antilog tables.  The bound stays
+#: small: a pencil over F_31 can have hundreds of residue fields of order
+#: 961, and tables there would cost memory for little gain.
+TABLE_MAX_Q = 256
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -25,6 +41,19 @@ def _is_prime(n):
             return False
         d += 1
     return True
+
+
+def _reduction_rows(modulus, p):
+    """(2k - 1, k) int64 array whose row t holds x^t mod f over F_p, for
+    a monic modulus f of degree k: a product's convolution coefficients
+    times these rows give the reduced product."""
+    k = len(modulus) - 1
+    low = np.array(modulus[:-1], dtype=np.int64)
+    rows = list(np.eye(k, dtype=np.int64))
+    for _ in range(k - 1):
+        cur = rows[-1]
+        rows.append((np.concatenate(([0], cur[:-1])) - cur[-1] * low) % p)
+    return np.array(rows)
 
 
 class FiniteField:
@@ -67,20 +96,12 @@ class FiniteField:
         self._extensions = {}
         self._nonsquare = None
         self._two_squares = None
-        self._np_red = None
-        if self.base is not None and self.base.prime and self.deg >= 3:
-            # reduction rows x^(d+i) mod f for the convolution fast path
-            d, p = self.deg, self.p
-            neg = (-np.array(self.modulus[:-1], dtype=np.int64)) % p
-            rows = np.zeros((d - 1, d), dtype=np.int64)
-            cur = neg.copy()
-            for i in range(d - 1):
-                rows[i] = cur
-                top = int(cur[d - 1])
-                nxt = np.zeros(d, dtype=np.int64)
-                nxt[1:] = cur[:d - 1]
-                cur = (nxt + top * neg) % p
-            self._np_red = rows
+        self.red_rows = None
+        self._small = False
+        self._log = self._exp = None
+        if self.base is not None and self.base.prime and self.deg >= 2:
+            self.red_rows = _reduction_rows(self.modulus, self.p)
+            self._small = self.q <= TABLE_MAX_Q
 
     # -- construction ------------------------------------------------
 
@@ -144,13 +165,19 @@ class FiniteField:
     def mul(self, a, b):
         if self.prime:
             return a * b % self.p
-        if self._np_red is not None:
+        if self._small:
+            if a == self.zero or b == self.zero:
+                return self.zero
+            log = self._log or self._tables()
+            return self._exp[log[a] + log[b]]
+        return self._poly_mul(a, b)
+
+    def _poly_mul(self, a, b):
+        """Product by convolution and reduction modulo the modulus."""
+        if self.deg >= 3 and self.red_rows is not None:
             conv = np.convolve(np.asarray(a, dtype=np.int64),
-                               np.asarray(b, dtype=np.int64)) % self.p
-            lo, hi = conv[:self.deg], conv[self.deg:]
-            if hi.size:
-                lo = (lo + hi @ self._np_red) % self.p
-            return tuple(int(x) for x in lo)
+                               np.asarray(b, dtype=np.int64))
+            return tuple((conv % self.p @ self.red_rows % self.p).tolist())
         base, d = self.base, self.deg
         t = [base.zero] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -170,11 +197,32 @@ class FiniteField:
                     t[i - d + j] = base.sub(t[i - d + j], base.mul(c, mod[j]))
         return tuple(t[:d])
 
+    def _tables(self):
+        """Discrete logs to the first primitive element in elements()
+        order, as a dict on the units, and its powers listed twice over,
+        so that a sum of two logs indexes them directly.  Built once, with
+        _poly_mul."""
+        for g in self.elements():
+            if g == self.zero:
+                continue
+            powers, x = [self.one], g
+            while x != self.one:
+                powers.append(x)
+                x = self._poly_mul(x, g)
+            if len(powers) == self.q - 1:
+                break
+        self._exp = tuple(powers * 2)
+        self._log = {x: i for i, x in enumerate(powers)}
+        return self._log
+
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.prime:
             return pow(a, self.p - 2, self.p)
+        if self._small:
+            log = self._log or self._tables()
+            return self._exp[self.q - 1 - log[a]]
         g, u, _ = _poly.poly_xgcd(self.base, _poly.poly_trim(self.base, a),
                                   self.modulus)
         if _poly.poly_deg(g) != 0:
@@ -191,6 +239,9 @@ class FiniteField:
             return self.pow(self.inv(a), -e)
         if self.prime:
             return pow(a, e, self.p)
+        if self._small and a != self.zero:
+            log = self._log or self._tables()
+            return self._exp[log[a] * e % (self.q - 1)]
         r, b = self.one, a
         while e:
             if e & 1:

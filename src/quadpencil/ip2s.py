@@ -39,7 +39,9 @@ and one set of layer ranks.  The cost counts every projective point of
 each nullspace, invertible or not.  The pool does not depend on which
 places are pinned: every choice enumerates each homography that carries
 the places of one pencil onto those of the other class by class, and
-the filter by every class keeps exactly those.
+the filter keeps exactly those.  A candidate maps each pinned place onto
+one of its targets by construction, so only the other places are
+filtered.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import random
 
 from . import linalg as _la
 from . import poly as _poly
+from .field import field_sqrt
 from .pencil import BinaryForm, Homography, INF, twist
 from .regular import canonical_witness, canonicalize, place_key
 
@@ -153,14 +156,27 @@ def _place_root(F, place):
 
 
 def _target_roots(F, K, place):
-    """Every root in K of a place of the same degree d as K over F: the
-    first linear factor of the equal-degree split gives one root y, and
-    the others are its conjugates y^q, ..., y^(q^(d-1))."""
+    """Every root in K of a place of the same degree d as K over F: one
+    root y, and its conjugates y^q, ..., y^(q^(d-1)).  For d = 2 in odd
+    characteristic y is read off the discriminants: with K = F[z]/(z^2 +
+    b_p z + c_p), (2z + b_p)^2 is disc(p), so a root of the place
+    y^2 + b_t y + c_t is (-b_t + s (2z + b_p))/2 with s^2 =
+    disc(t)/disc(p) in F, a square because neither discriminant is.
+    Otherwise y comes from the first linear factor of the equal-degree
+    split."""
     if K is F:
         return [_place_root(F, place)[1]]
-    lin = next(_poly._equal_degree(K, tuple(K.lift(c) for c in place), 1,
-                                   random.Random(0x5EED)))
-    roots = [K.neg(lin[0])]
+    if K.deg == 2 and F.p != 2:
+        (c_p, b_p, _), (c_t, b_t, _) = K.modulus, place
+        four = F.scalar(4)
+        s = field_sqrt(F, F.div(F.sub(F.mul(b_t, b_t), F.mul(four, c_t)),
+                                F.sub(F.mul(b_p, b_p), F.mul(four, c_p))))
+        half = F.inv(F.scalar(2))
+        roots = [(F.mul(half, F.sub(F.mul(s, b_p), b_t)), s)]
+    else:
+        lin = next(_poly._equal_degree(K, tuple(K.lift(c) for c in place),
+                                       1, random.Random(0x5EED)))
+        roots = [K.neg(lin[0])]
     for _ in range(K.deg - 1):
         roots.append(K.pow(roots[-1], F.q))
     return [(y, K.one) for y in roots]
@@ -220,8 +236,7 @@ def _pinned(F, pins):
 
 def _candidate_pool(F, sig_src, sig_dst):
     """Candidates mapping the places of sig_src onto those of sig_dst,
-    pinned by the cheapest set of places and filtered by every place
-    class."""
+    pinned by the cheapest set of places and filtered by the others."""
     if not sig_src:
         raise ValueError("no places pin a homography; the pencils are "
                          "entirely singular")
@@ -254,10 +269,11 @@ def _candidate_pool(F, sig_src, sig_dst):
     if cost(pins) > SWEEP_BUDGET:
         raise ValueError("candidate enumeration exceeds the search budget")
     dst = {de: set(sig_dst[de]) for de in classes}
+    pinned = {p for p, _ in pins}
+    free = [(p, de) for de in classes for p in sig_src[de] if p not in pinned]
     out = []
     for g in _pinned(F, [(p, sig_dst[de]) for p, de in pins]):
-        if all(_image(F, g, p) in dst[de]
-               for de in classes for p in sig_src[de]):
+        if all(_image(F, g, p) in dst[de] for p, de in free):
             out.append(g)
             if len(out) > CANDIDATE_BUDGET:
                 raise ValueError("candidate homographies exceed the "

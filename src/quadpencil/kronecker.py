@@ -67,13 +67,10 @@ def chain_ok(P, c):
             return False
     if _la.rank(F, tuple(es)) != c.h + 1:
         return False
-    for M in (P.b_inf, P.b_0):
-        for u in es:
-            Mu = _la.mat_vec(F, M, u)
-            for v in es:
-                if _la.vec_dot(F, Mu, v) != F.zero:
-                    return False
-    return True
+    cols = _la.transpose(tuple(es))
+    isotropic = _la.zeros(F, c.h + 1, c.h + 1)
+    return all(_la.congruent(F, M, cols) == isotropic
+               for M in (P.b_inf, P.b_0))
 
 
 def minimal_chain(P):

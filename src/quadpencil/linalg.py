@@ -1,11 +1,20 @@
 """Exact linear algebra over field and ring contexts.
 
-Matrices are tuples of row tuples of elements; vectors are tuples.  Each
-operation has one generic path, driven by the context object, that works
-on any ring context with the field interface (extension fields and the
-truncated local rings alike; `is_unit` picks pivots).  Prime fields (int
-elements) take a vectorized numpy int64 path instead.  With p < 2^16 and
-desk-scale n, all intermediate products stay below 2^63.
+Matrices are tuples of row tuples of elements; vectors are tuples.  The
+products, `rref` (and through it `rank`, `nullspace`, `mat_solve`, `inv`
+and `span_basis`), `mat_vec` and `charpoly` take one of three paths,
+chosen by the context:
+
+* prime fields (int elements) run numpy int64 kernels on (r, c) arrays;
+* absolute extensions GF(p^k), k >= 2, run numpy int64 kernels on
+  coefficient planes, arrays of shape (r, c, k): the products of the
+  planes of two factors sum into 2k - 1 convolution planes, which the
+  field's `red_rows`, the rows x^t mod f, reduce;
+* local rings and towers run one generic element loop driven by the
+  context object (`is_unit` picks pivots).
+
+Tuples go to arrays and back once per call.  With p < 2^16 and desk-scale
+n, every intermediate stays below 2^63; the plane kernels assert it.
 """
 
 from __future__ import annotations
@@ -23,6 +32,53 @@ def _to_np(A):
 
 def _from_np(M):
     return tuple(map(tuple, M.tolist()))
+
+
+# -- coefficient planes of an absolute extension GF(p^k) --------------------
+
+
+def _to_planes(F, A):
+    """(r, c, k) array of a matrix over F."""
+    return np.array(A, dtype=np.int64).reshape(len(A), len(A[0]), F.deg)
+
+
+def _from_planes(M):
+    return tuple(tuple(map(tuple, row)) for row in M.tolist())
+
+
+def _convolve(prods):
+    """Sums over i + j = t, t < 2k - 1, of products (..., k, k) indexed
+    [..., i, j]: row i is laid out with stride 2k and read back with
+    stride 2k - 1, which shifts it right by i."""
+    lead, k = prods.shape[:-2], prods.shape[-1]
+    rows = np.zeros(lead + (k, 2 * k), dtype=np.int64)
+    rows[..., :k] = prods
+    flat = rows.reshape(lead + (2 * k * k,))[..., :k * (2 * k - 1)]
+    return flat.reshape(lead + (k, 2 * k - 1)).sum(axis=-2)
+
+
+def _reduce_conv(F, conv):
+    """Elements from unreduced convolution coefficients on the last axis,
+    by the field's rows x^t mod f."""
+    return conv % F.p @ F.red_rows % F.p
+
+
+def _plane_mul(F, a, b):
+    """Elementwise product of two broadcastable plane arrays."""
+    return _reduce_conv(F, _convolve(a[..., :, None] * b[..., None, :]))
+
+
+def _plane_matmul(F, A, B):
+    """Matrix product of (r, m, k) and (m, c, k) plane arrays: one int64
+    matmul gives every product of a plane of A with a plane of B, and
+    the products of equal degree sum into 2k - 1 convolution planes."""
+    r, m, k = A.shape
+    c = B.shape[1]
+    # a convolution coefficient sums m k products below p^2
+    assert m * k * F.p ** 2 < 1 << 63, "coefficient planes would overflow"
+    P = (A.transpose(0, 2, 1).reshape(r * k, m)
+         @ B.reshape(m, c * k)).reshape(r, k, c, k)
+    return _reduce_conv(F, _convolve(P.transpose(0, 2, 1, 3)))
 
 
 def identity(F, n):
@@ -63,6 +119,9 @@ def mat_mul(F, A, B):
         return ()
     if F.prime:
         return _from_np(_to_np(A) @ _to_np(B) % F.p)
+    if F.red_rows is not None:
+        return _from_planes(_plane_matmul(F, _to_planes(F, A),
+                                          _to_planes(F, B)))
     return ring_mat_mul(F, A, B)
 
 
@@ -71,6 +130,10 @@ def mat_vec(F, A, v):
         return ()
     if F.prime:
         return tuple((_to_np(A) @ np.array(v, dtype=np.int64) % F.p).tolist())
+    if F.red_rows is not None:
+        col = np.array(v, dtype=np.int64).reshape(len(v), 1, F.deg)
+        return tuple(map(tuple, _plane_matmul(
+            F, _to_planes(F, A), col)[:, 0].tolist()))
     return tuple(vec_dot(F, row, v) for row in A)
 
 
@@ -135,6 +198,31 @@ def _rref_np(A, p):
     return _from_np(M), tuple(pivots)
 
 
+def _rref_planes(F, A):
+    M = _to_planes(F, A)
+    nr, nc, _ = M.shape
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        nz = np.nonzero(M[r:, c].any(axis=1))[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            M[[r, pr]] = M[[pr, r]]
+        # columns left of c are zero in row r
+        inv = np.array(F.inv(tuple(M[r, c].tolist())), dtype=np.int64)
+        M[r, c:] = _plane_mul(F, M[r, c:], inv)
+        col = M[:, c].copy()
+        col[r] = 0
+        M[:, c:] = (M[:, c:] - _plane_mul(F, col[:, None], M[r, c:])) % F.p
+        pivots.append(c)
+        r += 1
+    return _from_planes(M), tuple(pivots)
+
+
 def rref(F, A):
     """Reduced row echelon form and pivot columns; canonical.  Pivots
     are units, so over a local ring a column with no unit left is
@@ -143,6 +231,8 @@ def rref(F, A):
         return (), ()
     if F.prime:
         return _rref_np(A, F.p)
+    if F.red_rows is not None:
+        return _rref_planes(F, A)
     rows = [list(r) for r in A]
     nr, nc = len(rows), len(rows[0])
     pivots = []
@@ -313,12 +403,39 @@ def _berkowitz_np(A, p):
     return tuple(int(x) for x in reversed(v))
 
 
+def _berkowitz_planes(F, A):
+    p, k = F.p, F.deg
+    M = _to_planes(F, A)
+    n = M.shape[0]
+    one = np.eye(1, k, dtype=np.int64)[0]
+    v = np.array([one, (-M[0, 0]) % p])
+    for r in range(2, n + 1):
+        R = M[r - 1, :r - 1][None]
+        Mp = M[:r - 1, :r - 1]
+        c = np.zeros((r + 1, k), dtype=np.int64)
+        c[0] = one
+        c[1] = (-M[r - 1, r - 1]) % p
+        w = M[:r - 1, r - 1][:, None]
+        for j in range(2, r + 1):
+            c[j] = (-_plane_matmul(F, R, w)[0, 0]) % p
+            if j < r:
+                w = _plane_matmul(F, Mp, w)
+        # the product c v truncated to degree r, as the lower-triangular
+        # Toeplitz matrix of c times v
+        lag = np.arange(r + 1)[:, None] - np.arange(r)[None, :]
+        T = np.where((lag >= 0)[..., None], c[np.maximum(lag, 0)], 0)
+        v = _plane_matmul(F, T, v[:, None])[:, 0]
+    return tuple(map(tuple, reversed(v.tolist())))
+
+
 def charpoly(F, A):
     """Monic characteristic polynomial det(xI - A), constant term first."""
     if len(A) == 0:
         return (F.one,)
     if F.prime:
         return _berkowitz_np(A, F.p)
+    if F.red_rows is not None:
+        return _berkowitz_planes(F, A)
     return berkowitz(F, A)
 
 

@@ -19,6 +19,7 @@ class LocalRing:
         self.ell = ell
         self.p = K.p
         self.prime = False
+        self.red_rows = None
         self.zero = (K.zero,) * ell
         self.one = (K.one,) + (K.zero,) * (ell - 1)
         if ell >= 2:

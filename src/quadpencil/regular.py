@@ -245,25 +245,26 @@ def descend_bilinear(block, st):
     r = len(gens)
     tr, Tinv = _trace_dual_inverse(F, K.modulus)
     xpows, npows = st.x_powers, st.pi_powers
-    xg = [[_la.mat_vec(F, xpows[s], g) for s in range(d)] for g in gens]
-    bn = [[_la.mat_vec(F, block.b_inf, _la.mat_vec(F, npows[i], g))
-           for i in range(ell)] for g in gens]
-
-    def bk(s, i, t):
-        rhs = tuple(_la.vec_dot(F, xg[s][a], bn[t][i]) for a in range(d))
-        return tuple(_la.mat_vec(F, Tinv, rhs))
-
-    gram = tuple(tuple(
-        tuple(bk(s, ell - 1 - j, t) for j in range(ell))
-        for t in range(r)) for s in range(r))
+    # xg[s] stacks x^a g_s for a < d; column j of bn is B_inf pi^(ell-1-i)
+    # g_t with j = t ell + i, so xg[s] bn gives, column by column, the
+    # traces Tr(zeta^a <g_s, pi^(ell-1-i) g_t>) that Tinv turns into the
+    # coordinates of gram[s][t][i]
+    xg = [tuple(_la.mat_vec(F, xpows[a], g) for a in range(d)) for g in gens]
+    bn = _la.transpose(tuple(
+        _la.mat_vec(F, block.b_inf, _la.mat_vec(F, npows[ell - 1 - i], g))
+        for g in gens for i in range(ell)))
+    rows = [_la.transpose(_la.mat_mul(F, Tinv, _la.mat_mul(F, xs, bn)))
+            for xs in xg]
+    gram = tuple(tuple(rows[s][t * ell:(t + 1) * ell] for t in range(r))
+                 for s in range(r))
+    want = _la.congruent(F, block.b_inf, _la.transpose(gens))
+    got = _la.mat_vec(F, tuple(gram[s][t][ell - 1] for s in range(r)
+                               for t in range(r)), tr)
     for s in range(r):
         for t in range(s, r):
             if gram[s][t] != gram[t][s]:
                 raise AssertionError("descended form is not symmetric")
-            got = _la.vec_dot(F, gram[s][t][ell - 1], tr)
-            want = _la.vec_dot(F, gens[s],
-                               _la.mat_vec(F, block.b_inf, gens[t]))
-            if got != want:
+            if got[s * r + t] != want[s][t]:
                 raise AssertionError("descended form loses the trace")
     return R, gram
 

@@ -1,12 +1,14 @@
 """Reference oracles the tests compare the package against: square roots
 and local-ring elements by enumeration, the companion matrix, pointwise
 evaluation of forms and pencils, place data read straight off the
-characteristic form, and the exhaustive PGL_2 sweep for the homographies
-relating two binary forms."""
+characteristic form, the exhaustive PGL_2 sweep for the homographies
+relating two binary forms, and loop versions of the extension-field
+product and the matrix product."""
 
 import itertools
 
 from quadpencil import linalg as la
+from quadpencil.localring import LocalRing
 from quadpencil import poly as pl
 from quadpencil.ip2s import (SWEEP_BUDGET, _signature_of_descriptor,
                              _candidate_pool)
@@ -31,6 +33,48 @@ def ring_elements(R):
 def ring_rand(R, rng):
     """A random element of the local ring R."""
     return tuple(R.K.rand(rng) for _ in range(R.ell))
+
+
+def schoolbook_mul(F, a, b):
+    """Product in an absolute extension F = F_p[x]/f by convolution and
+    long division over the integers mod p, without F's own arithmetic."""
+    p, k, f = F.p, F.deg, F.modulus
+    t = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t[i + j] = (t[i + j] + x * y) % p
+    for i in range(2 * k - 2, k - 1, -1):
+        c, t[i] = t[i], 0
+        for j in range(k):
+            t[i - k + j] = (t[i - k + j] - c * f[j]) % p
+    return tuple(t[:k])
+
+
+def mat_mul_by_loops(F, A, B):
+    """Matrix product by the triple loop, one field operation at a time."""
+    cols = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(cols):
+            acc = F.zero
+            for i, x in enumerate(row):
+                acc = F.add(acc, F.mul(x, B[i][j]))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def as_generic(F, A):
+    """The field F as the local ring F[pi]/(pi), whose matrices take the
+    generic element-loop path of linalg, and the matrix A over it."""
+    R = LocalRing(F, 1)
+    return R, tuple(tuple((x,) for x in row) for row in A)
+
+
+def from_generic(A):
+    """Undo as_generic on a matrix."""
+    return tuple(tuple(x for (x,) in row) for row in A)
 
 
 def companion_matrix(F, f):

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from quadpencil.field import (make_field, field_sqrt, field_nonsquare,
-                              parse_field, emit_field, parse_elem,
-                              emit_elem)
+from quadpencil.field import (TABLE_MAX_Q, make_field, field_sqrt,
+                              field_nonsquare, parse_field, emit_field,
+                              parse_elem, emit_elem)
 
-from oracles import sqrt_by_scan
+from oracles import schoolbook_mul, sqrt_by_scan
 
 
 def _field_axioms(F, rng, reps=60):
@@ -170,3 +170,37 @@ def test_huge_prime_is_refused_before_trial_division():
     # 1.5e9) would take minutes, so the size bound must be checked first
     with pytest.raises(ValueError, match="2\\^16"):
         parse_field({"p": 2305843009213693951, "degree": 1})
+
+
+@pytest.mark.parametrize("p,deg", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
+                                   (5, 3)])
+def test_tables_match_the_schoolbook_product(p, deg):
+    """Table mul, inv and pow against the schoolbook product, on every
+    pair of elements and every exponent up to q."""
+    F = make_field(p, deg)
+    assert F.q <= TABLE_MAX_Q
+    els = list(F.elements())
+    for a in els:
+        for b in els:
+            assert F.mul(a, b) == schoolbook_mul(F, a, b)
+        if a != F.zero:
+            ainv = F.inv(a)
+            assert schoolbook_mul(F, a, ainv) == F.one
+            assert F.pow(a, -3) == F.pow(ainv, 3)
+        power = F.one
+        for e in range(F.q + 1):
+            assert F.pow(a, e) == power
+            power = schoolbook_mul(F, power, a)
+
+
+@pytest.mark.parametrize("p,deg", [(17, 2), (3, 6)])
+def test_large_extensions_match_the_schoolbook_product(p, deg):
+    # beyond the table bound: schoolbook or plane products, xgcd inverses
+    F = make_field(p, deg)
+    assert F.q > TABLE_MAX_Q
+    rng = random.Random(9)
+    for _ in range(200):
+        a, b = F.rand(rng), F.rand(rng)
+        assert F.mul(a, b) == schoolbook_mul(F, a, b)
+        if a != F.zero:
+            assert schoolbook_mul(F, a, F.inv(a)) == F.one

@@ -4,11 +4,16 @@ import random
 
 import pytest
 
-from quadpencil.field import make_field
+from quadpencil.field import FiniteField, make_field
 from quadpencil import linalg as la
+from quadpencil import sampling as sp
 from quadpencil.localring import LocalRing
+from quadpencil.pencil import INF, apply_congruence
+from quadpencil.poly import canonical_modulus
+from quadpencil.regular import canonicalize, ip1s_solve
 
-from oracles import ring_rand
+from oracles import (as_generic, from_generic, mat_mul_by_loops,
+                     ring_rand)
 
 
 def _rand_mat(F, rng, r, c):
@@ -154,3 +159,118 @@ def test_greedy_extend_completes_basis():
         ext = la.greedy_extend(F, base, la.identity(F, n))
         assert len(ext) == n - k
         assert la.rank(F, base + ext) == n
+
+
+def _plane_and_tower_fields():
+    """Absolute extensions, which take the coefficient-plane kernels, and
+    a tower over GF(9), which takes the generic path."""
+    out = [make_field(p, k) for p, k in
+           ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (5, 3))]
+    F9 = make_field(3, 2)
+    return out + [F9.extension(canonical_modulus(F9, 2))]
+
+
+def _test_matrices(F, rng):
+    """Random, rank-deficient, zero, 1 x n and n x 1 matrices."""
+    for _ in range(6):
+        yield _rand_mat(F, rng, rng.randrange(1, 6), rng.randrange(1, 6))
+    for _ in range(4):
+        r, c = rng.randrange(2, 6), rng.randrange(2, 6)
+        s = rng.randrange(1, min(r, c))
+        yield mat_mul_by_loops(F, _rand_mat(F, rng, r, s),
+                               _rand_mat(F, rng, s, c))
+    yield la.zeros(F, 3, 4)
+    n = rng.randrange(2, 6)
+    yield _rand_mat(F, rng, 1, n)
+    yield _rand_mat(F, rng, n, 1)
+
+
+@pytest.mark.parametrize("F", _plane_and_tower_fields(), ids=repr)
+def test_products_match_the_triple_loop(F):
+    rng = random.Random(40)
+    for A in _test_matrices(F, rng):
+        for c in range(4):
+            B = _rand_mat(F, rng, len(A[0]), c)
+            assert la.mat_mul(F, A, B) == mat_mul_by_loops(F, A, B)
+        v = tuple(F.rand(rng) for _ in range(len(A[0])))
+        col = mat_mul_by_loops(F, A, tuple((x,) for x in v))
+        assert la.mat_vec(F, A, v) == tuple(x for (x,) in col)
+    assert la.mat_mul(F, (), la.identity(F, 2)) == ()
+    assert la.mat_vec(F, (), ()) == ()
+
+
+@pytest.mark.parametrize("F", _plane_and_tower_fields(), ids=repr)
+def test_elimination_matches_the_generic_path(F):
+    """rref, nullspace, inv, mat_solve and charpoly against the generic
+    element loop (F as the local ring F[pi]/(pi)) and their defining
+    identities."""
+    rng = random.Random(41)
+    for A in _test_matrices(F, rng):
+        r, c = len(A), len(A[0])
+        G, AG = as_generic(F, A)
+        R, pivots = la.rref(F, A)
+        RG, pivots_g = la.rref(G, AG)
+        assert (R, pivots) == (from_generic(RG), pivots_g)
+        ns = la.nullspace(F, A)
+        assert ns == from_generic(la.nullspace(G, AG))
+        assert len(ns) == c - len(pivots)
+        for v in ns:
+            assert mat_mul_by_loops(F, A, tuple((x,) for x in v)) == (
+                la.zeros(F, r, 1))
+        B = _rand_mat(F, rng, r, 2)
+        X = la.mat_solve(F, A, B)
+        XG = la.mat_solve(G, AG, as_generic(F, B)[1])
+        assert X == (None if XG is None else from_generic(XG))
+        if X is not None:
+            assert mat_mul_by_loops(F, A, X) == B
+        X0 = _rand_mat(F, rng, c, 2)
+        X = la.mat_solve(F, A, mat_mul_by_loops(F, A, X0))
+        assert mat_mul_by_loops(F, A, X) == mat_mul_by_loops(F, A, X0)
+        if r == c:
+            Ainv = la.inv(F, A)
+            if len(pivots) < r:
+                assert Ainv is None
+            else:
+                assert mat_mul_by_loops(F, A, Ainv) == la.identity(F, r)
+            cp = la.charpoly(F, A)
+            assert cp == tuple(x for (x,) in la.charpoly(G, AG))
+            acc = la.zeros(F, r, r)
+            for coeff in reversed(cp):
+                acc = la.mat_add(F, mat_mul_by_loops(F, acc, A),
+                                 la.mat_scale(F, coeff, la.identity(F, r)))
+            assert acc == la.zeros(F, r, r)
+    assert la.rref(F, ()) == ((), ())
+    assert la.nullspace(F, (), ncols=2) == la.identity(F, 2)
+    assert la.inv(F, ()) == ()
+    assert la.charpoly(F, ()) == (F.one,)
+
+
+def test_extension_fields_never_take_the_element_loop(monkeypatch):
+    """While ip1s_solve and canonicalize run over GF(9) and GF(25), no
+    absolute extension reaches the generic vec_dot (products, mat_vec,
+    charpoly) or picks a pivot with is_unit (rref and everything built
+    on it), so none falls back silently from the coefficient planes."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(F, *args):
+            if (isinstance(F, FiniteField) and not F.prime
+                    and F.base.prime and F.deg >= 2):
+                calls.append((name, F))
+            return fn(F, *args)
+        return wrapper
+
+    monkeypatch.setattr(la, "vec_dot", counting("vec_dot", la.vec_dot))
+    monkeypatch.setattr(FiniteField, "is_unit",
+                        counting("is_unit", FiniteField.is_unit))
+    rng = random.Random(42)
+    F9 = make_field(3, 2)
+    one, zeta = F9.one, (0, 1)
+    blocks = ((INF, 1, False), ((one, one), 2, True), ((zeta, one), 1, True),
+              (canonical_modulus(F9, 2), 1, False))
+    A, _ = sp.planted_pencil(F9, rng, (1,), blocks)
+    B = apply_congruence(A, sp.rand_invertible(F9, rng, A.n))
+    assert ip1s_solve(A, B) is not None
+    F25 = make_field(5, 2)
+    canonicalize(sp.rand_regular_pencil(F25, rng, 8))
+    assert calls == []
