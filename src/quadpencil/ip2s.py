@@ -27,6 +27,9 @@ e x1) y0 = 0, linear in the entries of g.  For a place of degree d, x is
 its root (the class of t) in K = F.extension(place) and y a root of the
 target place in K; the condition's d coordinates over F are d rows.  The
 target's roots in K are one root and its Frobenius conjugates.  The
+root of a quadratic target is read off one square root in F; over a
+prime F, that of a target t of degree d >= 3 off a primitive idempotent
+of F[z, y]/(p(z), t(y)), an algebra held as (d, d) int64 arrays.  The
 candidates for one choice of target roots are the invertible projective
 points of the nullspace of the stacked rows.
 
@@ -49,6 +52,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+
+import numpy as np
 
 from . import linalg as _la
 from . import poly as _poly
@@ -156,23 +161,26 @@ def _place_root(F, place):
 
 
 def _target_roots(F, K, place):
-    """Every root in K of a place of the same degree d as K over F: one
-    root y, and its conjugates y^q, ..., y^(q^(d-1)).  For d = 2 in odd
-    characteristic y is read off the discriminants: with K = F[z]/(z^2 +
-    b_p z + c_p), (2z + b_p)^2 is disc(p), so a root of the place
-    y^2 + b_t y + c_t is (-b_t + s (2z + b_p))/2 with s^2 =
-    disc(t)/disc(p) in F, a square because neither discriminant is.
-    Otherwise y comes from the first linear factor of the equal-degree
-    split."""
+    """Every root in K of a place t of the same degree d as K over F, in
+    odd characteristic: one root y, and its conjugates y^q, ...,
+    y^(q^(d-1)).  For d = 2, y is read off the discriminants: with K =
+    F[z]/(z^2 + b_p z + c_p), (2z + b_p)^2 is disc(p), so a root of the
+    place y^2 + b_t y + c_t is (-b_t + s (2z + b_p))/2 with s^2 =
+    disc(t)/disc(p) in F, a square because neither discriminant is.  For
+    d >= 3 over a prime F, y comes from a primitive idempotent of
+    F[z, y]/(p(z), t(y)) (see _idempotent_root); over a tower, from the
+    first linear factor of the equal-degree split."""
     if K is F:
         return [_place_root(F, place)[1]]
-    if K.deg == 2 and F.p != 2:
+    if K.deg == 2:
         (c_p, b_p, _), (c_t, b_t, _) = K.modulus, place
         four = F.scalar(4)
         s = field_sqrt(F, F.div(F.sub(F.mul(b_t, b_t), F.mul(four, c_t)),
                                 F.sub(F.mul(b_p, b_p), F.mul(four, c_p))))
         half = F.inv(F.scalar(2))
         roots = [(F.mul(half, F.sub(F.mul(s, b_p), b_t)), s)]
+    elif F.prime:
+        roots = [_idempotent_root(F, K, place)]
     else:
         lin = next(_poly._equal_degree(K, tuple(K.lift(c) for c in place),
                                        1, random.Random(0x5EED)))
@@ -180,6 +188,53 @@ def _target_roots(F, K, place):
     for _ in range(K.deg - 1):
         roots.append(K.pow(roots[-1], F.q))
     return [(y, K.one) for y in roots]
+
+
+def _idempotent_root(F, K, place):
+    """A root in K = F[z]/p of a place t of degree d = deg p >= 3, F
+    prime and odd.  A = K[y]/t(y) is K^d, one factor per root c, so for a
+    random a in A, b = a^((q^d - 1)/2) is +-1 on almost every factor and
+    E (1 +- b)/2 drops the factors of the other sign from the support of
+    E.  Once the support of E is one root c, E is a multiple of the
+    Lagrange idempotent t(y)/((y - c) t'(c)), whose coefficients of y^(d-1)
+    and y^(d-2) are 1/t'(c) and (c + t_(d-1))/t'(c).  A candidate read off
+    E is returned only when it is a root.  An element of A is a (d, d)
+    int64 array, row j the coefficient of y^j as an element of K."""
+    d, p = K.deg, F.p
+    w = 2 * d - 1
+    zred, yred = K.red_rows, F.extension(place).red_rows
+
+    def mul(a, b):
+        # one convolution of the rows laid out with stride 2d - 1 is the
+        # 2-D convolution; then reduce z mod p(z) and y mod t(y)
+        pa = np.zeros((d, w), np.int64)
+        pb = np.zeros((d, w), np.int64)
+        pa[:, :d], pb[:, :d] = a, b
+        c = np.convolve(pa.ravel(), pb.ravel())[:w * w].reshape(w, w) % p
+        return yred.T @ (c @ zred % p) % p
+
+    one = np.zeros((d, d), np.int64)
+    one[0, 0] = 1
+    half = (p + 1) // 2
+    tK = tuple(K.lift(c) for c in place)
+    rng = random.Random(0x5EED)
+    E = one
+    while True:
+        a = np.array([[rng.randrange(p) for _ in range(d)]
+                      for _ in range(d)], dtype=np.int64)
+        b, e = one, (F.q ** d - 1) // 2
+        while e:
+            if e & 1:
+                b = mul(b, a)
+            a = mul(a, a)
+            e >>= 1
+        E1 = mul(E, (one + b) * half % p)
+        E = E1 if E1.any() else mul(E, (one - b) * half % p)
+        lead = tuple(E[d - 1].tolist())
+        if lead != K.zero:
+            c = K.sub(K.div(tuple(E[d - 2].tolist()), lead), tK[d - 1])
+            if _poly.poly_eval(K, tK, c) == K.zero:
+                return c
 
 
 def _pin_rows(F, K, x, y):

@@ -202,10 +202,13 @@ def is_irreducible(F, f):
 
 
 def canonical_modulus(F, d):
-    """Lexicographically first monic irreducible of degree d over F."""
+    """Lexicographically first monic irreducible of degree d over F.
+    For d >= 2 the tails with constant term 0 are skipped: x divides
+    those polynomials."""
     import itertools
     base_list = list(F.elements())
-    for tail in itertools.product(base_list, repeat=d):
+    heads = base_list[1:] if d >= 2 else base_list
+    for tail in itertools.product(heads, *[base_list] * (d - 1)):
         f = tuple(tail) + (F.one,)
         if is_irreducible(F, f):
             return f

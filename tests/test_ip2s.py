@@ -428,6 +428,32 @@ def test_large_field_mixed_point_and_quadratic_pinning(monkeypatch):
     assert verify_ip2s(A, B, *out)
 
 
+def test_cubic_place_roots_take_no_equal_degree_split(monkeypatch):
+    # a lone cubic place at q = 103 pins g by the roots of its target in
+    # the residue field; they come from idempotents on int64 arrays, so
+    # the only Cantor-Zassenhaus splits are those of canonicalize over F
+    F = make_field(103)
+    rng = random.Random(101)
+    cub = ()
+    while not pl.is_irreducible(F, cub):
+        cub = tuple(F.rand(rng) for _ in range(3)) + (F.one,)
+    A = sp.planted_pencil(F, rng, (), ((cub, 1, False),))[0]
+    B = _plant(F, rng, A)[0]
+    assert list(factor_signature(B)) == [(3, ((1, 1),))]
+    split = pl._equal_degree
+    residue_splits = []
+
+    def counted(K, *args):
+        if K is not F:
+            residue_splits.append(K)
+        return split(K, *args)
+    monkeypatch.setattr(pl, "_equal_degree", counted)
+    out = _solve(monkeypatch, A, B)
+    assert out is not None
+    assert verify_ip2s(A, B, *out)
+    assert residue_splits == []
+
+
 def test_large_field_starved_class_raises():
     F = make_field(10007)
     A = Pencil.make(F, la.identity(F, 2), la.zeros(F, 2, 2))

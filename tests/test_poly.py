@@ -109,12 +109,15 @@ def _places(F, d):
 
 def test_target_roots_are_every_root_in_the_residue_field():
     """The roots of a place t of degree d in K = F.extension(p), p of
-    degree d too, against a search of K, for every pair (p, t) of the
-    places of degree d when there are at most 10, else of three seeded
-    ones."""
+    degree d too, for every pair (p, t) of the places of degree d when
+    there are at most 10, else of three seeded ones.  Up to |K| = 7^4
+    they are checked against a search of K; over F_31 and F_103, where
+    K is too large to search, as d distinct roots of t closed under
+    y -> y^q."""
     rng = random.Random(18)
     cases = [(make_field(p), d) for p in (3, 5, 7) for d in (2, 3, 4)]
     cases += [(make_field(3, 2), d) for d in (2, 3)]
+    cases += [(make_field(p), d) for p in (31, 103) for d in (3, 4, 5, 6)]
     for F, d in cases:
         if F.q ** d <= 125:
             places = _places(F, d)
@@ -129,10 +132,16 @@ def test_target_roots_are_every_root_in_the_residue_field():
         for p, t in itertools.product(sorted(places), repeat=2):
             K = F.extension(p)
             tK = tuple(K.lift(c) for c in t)
-            want = {y for y in K.elements() if poly_eval(K, tK, y) == K.zero}
             got = _target_roots(F, K, t)
             assert all(one == K.one for _, one in got)
-            assert len(got) == d and {y for y, _ in got} == want
+            ys = {y for y, _ in got}
+            assert len(got) == d and len(ys) == d
+            if K.q <= 7 ** 4:
+                assert ys == {y for y in K.elements()
+                              if poly_eval(K, tK, y) == K.zero}
+            else:
+                assert all(poly_eval(K, tK, y) == K.zero for y in ys)
+                assert {K.pow(y, F.q) for y in ys} == ys
 
 
 def test_irreducible_exhaustive_deg2():
@@ -152,6 +161,28 @@ def test_canonical_modulus_oracles():
     for d in (2, 3):
         m = canonical_modulus(F, d)
         assert poly_deg(m) == d and is_irreducible(F, m)
+
+
+def test_canonical_modulus_is_the_first_irreducible():
+    # against a search of the monic tails in order, constant term first,
+    # each tested by trial division by every monic of degree <= d/2
+    def monics(p, d):
+        for tail in itertools.product(range(p), repeat=d):
+            yield tail + (1,)
+
+    for p in (3, 5, 7):
+        F = make_field(p)
+        for d in (1, 2, 3, 4):
+            want = next(f for f in monics(p, d) if all(
+                poly_divmod(F, f, g)[1] for e in range(1, d // 2 + 1)
+                for g in monics(p, e)))
+            assert canonical_modulus(F, d) == want
+
+
+def test_default_modulus_over_a_large_prime_returns():
+    # the first irreducible quartic over F_101 follows 101^3 tails with
+    # constant term 0, none of them irreducible
+    assert make_field(101, 4).modulus == (1, 0, 0, 1, 1)
 
 
 def test_trace_power_sums_match_companion_traces():
