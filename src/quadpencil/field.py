@@ -6,15 +6,23 @@ All arithmetic goes through the context object, so matrices stay nested
 tuples that numpy can ingest.  Towers are allowed: an extension's base
 may itself be an extension.
 
-Scalar arithmetic takes one of three paths.  Prime fields use Python
-ints.  An absolute extension GF(p^k) with q <= TABLE_MAX_Q multiplies,
-inverts and raises to powers through log/antilog tables, built on first
-use and kept on the field object (extension() keeps one object per
-modulus).  Larger absolute extensions and towers multiply by schoolbook
-convolution and invert by the extended Euclidean algorithm.  Every
-absolute extension also carries `red_rows`, the rows x^t mod f for
-t < 2k - 1 that reduce a product's convolution, which the
+Scalar arithmetic takes one of four paths.  Prime fields use Python
+ints.  A degree-1 extension k[t]/(t - a), which every rational place of
+a pencil gives, hands mul, inv and pow to its base field.  An absolute
+extension GF(p^k) with q <= TABLE_MAX_Q multiplies, inverts and raises
+to powers through log/antilog tables, built on first use and kept on
+the field object (extension() keeps one object per modulus).  Larger
+extensions multiply by schoolbook convolution (an absolute one of degree
+>= 3 by one np.convolve and the rows below), raise to powers by square
+and multiply, and invert by `poly.poly_xgcd`, which runs on int lists
+when the base is prime.  Every absolute extension of degree >= 2
+carries `red_rows`, the rows x^t mod f for t < 2k - 1 that reduce a
+product's convolution (`poly.reduction_rows`), which the
 coefficient-plane matrix kernels of `linalg` share.
+
+`field_sqrt` is Tonelli-Shanks with one exponentiation per root: the
+field caches q - 1 = 2^s t and z^t for its first non-square z, and a
+non-square shows up inside the loop, as x^t of order 2^s.
 """
 
 from __future__ import annotations
@@ -41,19 +49,6 @@ def _is_prime(n):
             return False
         d += 1
     return True
-
-
-def _reduction_rows(modulus, p):
-    """(2k - 1, k) int64 array whose row t holds x^t mod f over F_p, for
-    a monic modulus f of degree k: a product's convolution coefficients
-    times these rows give the reduced product."""
-    k = len(modulus) - 1
-    low = np.array(modulus[:-1], dtype=np.int64)
-    rows = list(np.eye(k, dtype=np.int64))
-    for _ in range(k - 1):
-        cur = rows[-1]
-        rows.append((np.concatenate(([0], cur[:-1])) - cur[-1] * low) % p)
-    return np.array(rows)
 
 
 class FiniteField:
@@ -95,12 +90,13 @@ class FiniteField:
         self.prime = self.base is None
         self._extensions = {}
         self._nonsquare = None
+        self._tonelli = None
         self._two_squares = None
         self.red_rows = None
         self._small = False
         self._log = self._exp = None
         if self.base is not None and self.base.prime and self.deg >= 2:
-            self.red_rows = _reduction_rows(self.modulus, self.p)
+            self.red_rows = _poly.reduction_rows(self.modulus, self.p)
             self._small = self.q <= TABLE_MAX_Q
 
     # -- construction ------------------------------------------------
@@ -165,6 +161,8 @@ class FiniteField:
     def mul(self, a, b):
         if self.prime:
             return a * b % self.p
+        if self.deg == 1:
+            return (self.base.mul(a[0], b[0]),)
         if self._small:
             if a == self.zero or b == self.zero:
                 return self.zero
@@ -220,15 +218,15 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         if self.prime:
             return pow(a, self.p - 2, self.p)
+        if self.deg == 1:
+            return (self.base.inv(a[0]),)
         if self._small:
             log = self._log or self._tables()
             return self._exp[self.q - 1 - log[a]]
-        g, u, _ = _poly.poly_xgcd(self.base, _poly.poly_trim(self.base, a),
-                                  self.modulus)
-        if _poly.poly_deg(g) != 0:
+        g, u = _poly.poly_xgcd(self.base, _poly.poly_trim(self.base, a),
+                               self.modulus)
+        if g != (self.base.one,):
             raise ValueError("modulus not irreducible")
-        c = self.base.inv(g[0])
-        u = _poly.poly_scale(self.base, c, u)
         return _poly.poly_pad(self.base, u, self.deg)
 
     def div(self, a, b):
@@ -239,6 +237,8 @@ class FiniteField:
             return self.pow(self.inv(a), -e)
         if self.prime:
             return pow(a, e, self.p)
+        if self.deg == 1:
+            return (self.base.pow(a[0], e),)
         if self._small and a != self.zero:
             log = self._log or self._tables()
             return self._exp[log[a] * e % (self.q - 1)]
@@ -327,24 +327,25 @@ def field_sqrt(ctx, x):
         raise ValueError("square roots unsupported in characteristic 2")
     if ctx.is_zero(x):
         return x
-    if not ctx.is_square(x):
-        return None
-    # Tonelli-Shanks; of the two roots the smaller by sort_key, which is
-    # also the first in elements() order
-    q = ctx.q
-    s, t = 0, q - 1
-    while t % 2 == 0:
-        s, t = s + 1, t // 2
-    z = field_nonsquare(ctx)
-    m = s
-    c = ctx.pow(z, t)
-    u = ctx.pow(x, t)
-    r = ctx.pow(x, (t + 1) // 2)
+    # Tonelli-Shanks with q - 1 = 2^s t, t odd, and z the first non-square
+    if ctx._tonelli is None:
+        s, t = 0, ctx.q - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        ctx._tonelli = (s, t, ctx.pow(field_nonsquare(ctx), t))
+    m, t, c = ctx._tonelli
+    # the one exponentiation: r = x^((t + 1)/2) and u = x^t
+    w = ctx.pow(x, (t - 1) // 2)
+    r = ctx.mul(x, w)
+    u = ctx.mul(r, w)
     while u != ctx.one:
         i, v = 0, u
         while v != ctx.one:
             v = ctx.mul(v, v)
             i += 1
+        if i == m:
+            # u = x^t has order 2^s exactly when x is a non-square
+            return None
         b = c
         for _ in range(m - i - 1):
             b = ctx.mul(b, b)
@@ -352,8 +353,9 @@ def field_sqrt(ctx, x):
         c = ctx.mul(b, b)
         u = ctx.mul(u, c)
         r = ctx.mul(r, b)
-    other = ctx.neg(r)
-    return min(r, other, key=ctx.sort_key)
+    # of the two roots the smaller by sort_key, which is also the first
+    # in elements() order
+    return min(r, ctx.neg(r), key=ctx.sort_key)
 
 
 def make_field(p, degree=1, modulus=None):

@@ -4,6 +4,14 @@ A polynomial is a tuple of field elements, constant coefficient first,
 with no trailing zeros; the zero polynomial is ().  Every function takes
 the coefficient field as an explicit first argument, duck-typed so that
 field.py can import this module without a cycle.
+
+Over a prime field (``F.prime``) the hot routines leave the element
+interface for plain ints: long products are one ``np.convolve``, long
+divisions run on an int64 array, ``poly_xgcd`` runs on int lists, and
+``poly_pow_mod`` modulo f of degree k >= POW_ROWS_MIN_DEG reduces each
+product through ``reduction_rows`` (x^t mod f for t < 2k - 1), the rows
+that extension fields also keep for their coefficient-plane kernels.
+Every branch returns the same polynomial as the generic code.
 """
 
 from __future__ import annotations
@@ -11,6 +19,12 @@ from __future__ import annotations
 import random
 
 import numpy as np
+
+#: Smallest modulus degree at which ``poly_pow_mod`` over a prime field
+#: reduces each product through the rows x^t mod f.  The rows pay off
+#: from about degree 3 on a single call, but whole factorizations of
+#: characteristic forms over F_101 ran no faster with a lower bound.
+POW_ROWS_MIN_DEG = 8
 
 
 def poly_trim(F, seq):
@@ -128,22 +142,71 @@ def poly_gcd(F, a, b):
 
 
 def poly_xgcd(F, a, b):
-    """(g, u, v) with u*a + v*b = g, g monic."""
+    """(g, u) with g = gcd(a, b) monic and u*a = g mod b."""
+    if F.prime:
+        g, u = _xgcd_mod_p(F.p, list(a), list(b))
+        return tuple(g), tuple(u)
     r0, r1 = tuple(a), tuple(b)
     u0, u1 = (F.one,), ()
-    v0, v1 = (), (F.one,)
     while r1:
         q, r = poly_divmod(F, r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, poly_sub(F, u0, poly_mul(F, q, u1))
-        v0, v1 = v1, poly_sub(F, v0, poly_mul(F, q, v1))
     if r0:
         c = F.inv(r0[-1])
-        r0, u0, v0 = (poly_scale(F, c, t) for t in (r0, u0, v0))
-    return r0, u0, v0
+        r0, u0 = poly_scale(F, c, r0), poly_scale(F, c, u0)
+    return r0, u0
+
+
+def _xgcd_mod_p(p, r0, r1):
+    """poly_xgcd over F_p on trimmed int lists: the same remainder and
+    cofactor sequence, without the element interface."""
+    u0, u1 = [1], []
+    while r1:
+        # r0 = q r1 + r, with r left in the low db slots of r0
+        db, lead_inv = len(r1) - 1, pow(r1[-1], p - 2, p)
+        q = [0] * max(0, len(r0) - db)
+        for i in range(len(r0) - 1, db - 1, -1):
+            c = r0[i] * lead_inv % p
+            if c:
+                q[i - db] = c
+                for j in range(db):
+                    r0[i - db + j] = (r0[i - db + j] - c * r1[j]) % p
+        r = r0[:db]
+        while r and not r[-1]:
+            r.pop()
+        u = u0 + [0] * (len(q) + len(u1) - 1 - len(u0))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, uj in enumerate(u1):
+                    u[i + j] = (u[i + j] - qi * uj) % p
+        while u and not u[-1]:
+            u.pop()
+        r0, r1, u0, u1 = r1, r, u1, u
+    if r0:
+        c = pow(r0[-1], p - 2, p)
+        r0 = [x * c % p for x in r0]
+        u0 = [x * c % p for x in u0]
+    return r0, u0
+
+
+def reduction_rows(f, p):
+    """(2k - 1, k) int64 array whose row t holds x^t mod f over F_p, for
+    a monic f of degree k: a product's convolution coefficients times
+    these rows give the product mod f."""
+    k = len(f) - 1
+    low = np.array(f[:-1], dtype=np.int64)
+    rows = list(np.eye(k, dtype=np.int64))
+    for _ in range(k - 1):
+        cur = rows[-1]
+        rows.append((np.concatenate(([0], cur[:-1])) - cur[-1] * low) % p)
+    return np.array(rows)
 
 
 def poly_pow_mod(F, g, e, f):
+    """g^e mod f by square and multiply."""
+    if F.prime and poly_deg(f) >= POW_ROWS_MIN_DEG:
+        return _pow_mod_rows(F, g, e, f)
     r = (F.one,)
     b = poly_mod(F, g, f)
     while e:
@@ -152,6 +215,27 @@ def poly_pow_mod(F, g, e, f):
         b = poly_mod(F, poly_mul(F, b, b), f)
         e >>= 1
     return r
+
+
+def _pow_mod_rows(F, g, e, f):
+    """poly_pow_mod over F_p on length-k int64 vectors, k = deg f: a
+    product mod f is one convolution times the rows x^t mod f.  f need
+    not be monic, as its monic multiple leaves the same remainders."""
+    if not e:
+        return (F.one,)
+    p, k = F.p, poly_deg(f)
+    rows = reduction_rows(poly_monic(F, f), p)
+    g = poly_mod(F, g, f)
+    b = np.zeros(k, dtype=np.int64)
+    b[:len(g)] = g
+    r = None
+    while True:
+        if e & 1:
+            r = b if r is None else np.convolve(r, b) % p @ rows % p
+        e >>= 1
+        if not e:
+            return poly_trim(F, r.tolist())
+        b = np.convolve(b, b) % p @ rows % p
 
 
 def poly_eval(F, f, x):

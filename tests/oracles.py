@@ -1,9 +1,10 @@
 """Reference oracles the tests compare the package against: square roots
-and local-ring elements by enumeration, the companion matrix, pointwise
-evaluation of forms and pencils, place data read straight off the
-characteristic form, the exhaustive PGL_2 sweep for the homographies
-relating two binary forms, and loop versions of the extension-field
-product and the matrix product."""
+and local-ring elements by enumeration, modular powers of polynomials by
+square and multiply, the companion matrix, pointwise evaluation of forms
+and pencils, place data read straight off the characteristic form, the
+exhaustive PGL_2 sweep for the homographies relating two binary forms,
+and loop versions of the extension-field product and the matrix
+product."""
 
 import itertools
 
@@ -20,9 +21,13 @@ def poly_from_ints(F, coeffs):
     return pl.poly_trim(F, [F.scalar(c) for c in coeffs])
 
 
-def sqrt_by_scan(F, x):
-    """The first r in elements() order with r^2 = x, or None."""
-    return next((r for r in F.elements() if F.mul(r, r) == x), None)
+def roots_by_scan(F):
+    """Dict from each square x of F to the first r in elements() order
+    with r^2 = x; a non-square is missing."""
+    roots = {}
+    for r in F.elements():
+        roots.setdefault(F.mul(r, r), r)
+    return roots
 
 
 def ring_elements(R):
@@ -48,6 +53,42 @@ def schoolbook_mul(F, a, b):
         for j in range(k):
             t[i - k + j] = (t[i - k + j] - c * f[j]) % p
     return tuple(t[:k])
+
+
+def pow_mod_by_squaring(p, g, e, f):
+    """g^e mod f over F_p by square and multiply, each product by the
+    double loop and each remainder by long division, on int lists,
+    without the package's polynomial arithmetic."""
+    lead_inv = pow(f[-1], p - 2, p)
+    k = len(f) - 1
+
+    def mod(a):
+        a = list(a)
+        for i in range(len(a) - 1, k - 1, -1):
+            c = a[i] * lead_inv % p
+            for j in range(k + 1):
+                a[i - k + j] = (a[i - k + j] - c * f[j]) % p
+        a = a[:k]
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    def mul(a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return mod(out)
+
+    r, b = [1], mod(g)
+    while e:
+        if e & 1:
+            r = mul(r, b)
+        b = mul(b, b)
+        e >>= 1
+    return tuple(r)
 
 
 def mat_mul_by_loops(F, A, B):

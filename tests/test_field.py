@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from quadpencil.field import (TABLE_MAX_Q, make_field, field_sqrt,
-                              field_nonsquare, parse_field, emit_field,
-                              parse_elem, emit_elem)
+from quadpencil.field import (TABLE_MAX_Q, FiniteField, make_field,
+                              field_sqrt, field_nonsquare, parse_field,
+                              emit_field, parse_elem, emit_elem)
+from quadpencil.poly import canonical_modulus
 
-from oracles import schoolbook_mul, sqrt_by_scan
+from oracles import schoolbook_mul, roots_by_scan
 
 
 def _field_axioms(F, rng, reps=60):
@@ -123,8 +124,78 @@ def test_sqrt_is_deterministic_minimum():
     for F in ([make_field(p) for p in primes]
               + [make_field(3, 2), make_field(5, 2), make_field(3, 3),
                  make_field(7, 2)]):
+        roots = roots_by_scan(F)
         for x in F.elements():
-            assert field_sqrt(F, x) == sqrt_by_scan(F, x)
+            assert field_sqrt(F, x) == roots.get(x)
+
+
+def _gf9_tower():
+    F9 = make_field(3, 2, (1, 0, 1))
+    return F9.extension(canonical_modulus(F9, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_field(17, 2),                   # q = 289, s = 5
+    lambda: make_field(31, 2),                   # q = 961, s = 6
+    lambda: make_field(3, 6),                    # q = 729, s = 3
+    lambda: make_field(97),                      # s = 5
+    lambda: make_field(101).extension((98, 1)),  # F_101[x]/(x - 3)
+    _gf9_tower,                                  # degree 2 over GF(9)
+], ids=["F17^2", "F31^2", "F3^6", "F97", "F101[x]/(x-3)", "GF9-tower"])
+def test_sqrt_beyond_the_tables(make):
+    """Every element against the scan, on fields without log tables and
+    with up to six rounds of Tonelli-Shanks: None exactly on the
+    non-squares, otherwise the first root in elements() order."""
+    F = make()
+    roots = roots_by_scan(F)
+    nones = 0
+    for x in F.elements():
+        r = field_sqrt(F, x)
+        assert r == roots.get(x)
+        nones += r is None
+    assert nones == (F.q - 1) // 2
+
+
+def test_sqrt_makes_one_exponentiation(monkeypatch):
+    """Once the field's Tonelli-Shanks data is cached, a root costs one
+    pow and no is_square, for a square and a non-square alike."""
+    F = make_field(31, 2)
+    assert F.q > TABLE_MAX_Q
+    y = (5, 7)
+    assert field_sqrt(F, F.mul(y, y)) in (y, F.neg(y))
+    calls = {"pow": 0, "is_square": 0}
+    for name in calls:
+        orig = getattr(FiniteField, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(FiniteField, name, counted)
+    nonsquare = field_nonsquare(F)
+    for x, is_sq in ((F.mul((3, 11), (3, 11)), True), (nonsquare, False)):
+        calls.update(pow=0, is_square=0)
+        assert (field_sqrt(F, x) is not None) == is_sq
+        assert calls == {"pow": 1, "is_square": 0}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_field(101),
+    lambda: make_field(3, 2, (1, 0, 1)),
+], ids=["F101", "GF9"])
+def test_degree_one_extension_is_its_base(make):
+    """A degree-1 extension multiplies, inverts and raises to powers as
+    its base field does, on every pair of elements."""
+    F = make()
+    K = F.extension((F.neg(F.scalar(3)), F.one))
+    els = list(F.elements())
+    for a in els:
+        for b in els:
+            assert K.mul((a,), (b,)) == (F.mul(a, b),)
+            assert K.add((a,), (b,)) == (F.add(a, b),)
+        if a != F.zero:
+            assert K.inv((a,)) == (F.inv(a),)
+        for e in (0, 1, 2, 5, F.q - 2, F.q):
+            assert K.pow((a,), e) == (F.pow(a, e),)
 
 
 def test_json_roundtrip():

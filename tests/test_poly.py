@@ -6,15 +6,16 @@ import random
 import pytest
 
 from quadpencil.field import make_field
-from quadpencil.poly import (poly_trim, poly_deg, poly_add, poly_mul,
-                             poly_divmod, poly_gcd, poly_monic, poly_eval,
+from quadpencil.poly import (poly_trim, poly_deg, poly_add, poly_sub,
+                             poly_mul, poly_divmod, poly_mod, poly_gcd,
+                             poly_monic, poly_eval, poly_xgcd, poly_pow_mod,
                              poly_factor, is_irreducible,
                              canonical_modulus, trace_power_sums,
                              PolyRing, _equal_degree)
 from quadpencil import linalg as la
 from quadpencil.ip2s import _target_roots
 
-from oracles import companion_matrix
+from oracles import as_generic, companion_matrix, pow_mod_by_squaring
 
 
 def _rand_poly(F, rng, deg):
@@ -77,6 +78,58 @@ def test_factor_product_property():
                 for _ in range(e):
                     prod = poly_mul(F, prod, g)
             assert prod == poly_monic(F, f)
+
+
+@pytest.mark.parametrize("p", [101, 3])
+def test_pow_mod_matches_square_and_multiply(p):
+    """poly_pow_mod against the oracle for moduli of degree 1 to 60, on
+    both sides of the reduction-row threshold: monic and not, reducible
+    and irreducible, with g of degree at least deg f and exponents 0, 1,
+    q and (q^d - 1)/2; the last only for d <= 24, d = 1 mod 6 and d = 60,
+    as the oracle is slow."""
+    F = make_field(p)
+    rng = random.Random(p)
+    for d in range(1, 61):
+        f = _rand_poly(F, rng, d)
+        if d % 3 == 0 and d <= 24:
+            while not is_irreducible(F, f):
+                f = _rand_poly(F, rng, d)
+        if d % 2:
+            f = tuple(F.mul(rng.randrange(2, p), c) for c in f)
+        g = poly_trim(F, [F.rand(rng) for _ in range(d + rng.randrange(3))]
+                      + [rng.randrange(1, p)])
+        exps = [0, 1, F.q]
+        if d <= 24 or d % 6 == 1 or d == 60:
+            exps.append((F.q ** d - 1) // 2)
+        for e in exps:
+            assert poly_pow_mod(F, g, e, f) == pow_mod_by_squaring(p, g, e, f)
+
+
+@pytest.mark.parametrize("p", [101, 3])
+def test_xgcd_cofactor_and_generic_path(p):
+    """poly_xgcd gives a monic gcd g and u with u*a = g mod b; the
+    prime-field branch on int lists agrees with the element-generic
+    Euclid over F as the local ring F[pi]/(pi)."""
+    F = make_field(p)
+    R, _ = as_generic(F, ())
+    rng = random.Random(p + 1)
+    pairs = [((), _rand_poly(F, rng, 3)), (_rand_poly(F, rng, 2), ()),
+             ((), ())]
+    for _ in range(150):
+        h = _rand_poly(F, rng, rng.randrange(0, 3))
+        a = poly_mul(F, h, poly_trim(F, [F.rand(rng)
+                                         for _ in range(rng.randrange(1, 9))]))
+        b = poly_mul(F, h, poly_trim(F, [F.rand(rng)
+                                         for _ in range(rng.randrange(1, 9))]))
+        pairs.append((a, b))
+    for a, b in pairs:
+        g, u = poly_xgcd(F, a, b)
+        assert g == poly_gcd(F, a, b)
+        assert not g or g[-1] == F.one
+        if b:
+            assert poly_mod(F, poly_sub(F, poly_mul(F, u, a), g), b) == ()
+        gR, uR = poly_xgcd(R, tuple((c,) for c in a), tuple((c,) for c in b))
+        assert (g, u) == (tuple(c for (c,) in gR), tuple(c for (c,) in uR))
 
 
 def test_first_linear_factor_is_a_root():
