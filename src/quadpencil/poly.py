@@ -8,9 +8,9 @@ field.py can import this module without a cycle.
 Over a prime field (``F.prime``) the hot routines leave the element
 interface for plain ints: long products are one ``np.convolve``, long
 divisions run on an int64 array, ``poly_xgcd`` runs on int lists, and
-``poly_pow_mod`` modulo f of degree k >= POW_ROWS_MIN_DEG reduces each
-product through ``reduction_rows`` (x^t mod f for t < 2k - 1), the rows
-that extension fields also keep for their coefficient-plane kernels.
+``poly_pow_mod`` modulo f of degree k reduces each product through
+``reduction_rows`` (x^t mod f for t < 2k - 1), the rows that extension
+fields also keep for their coefficient-plane kernels.
 Every branch returns the same polynomial as the generic code.
 """
 
@@ -19,13 +19,6 @@ from __future__ import annotations
 import random
 
 import numpy as np
-
-#: Smallest modulus degree at which ``poly_pow_mod`` over a prime field
-#: reduces each product through the rows x^t mod f.  The rows pay off
-#: from about degree 3 on a single call, but whole factorizations of
-#: characteristic forms over F_101 ran no faster with a lower bound.
-POW_ROWS_MIN_DEG = 8
-
 
 def poly_trim(F, seq):
     c = list(seq)
@@ -163,18 +156,7 @@ def _xgcd_mod_p(p, r0, r1):
     cofactor sequence, without the element interface."""
     u0, u1 = [1], []
     while r1:
-        # r0 = q r1 + r, with r left in the low db slots of r0
-        db, lead_inv = len(r1) - 1, pow(r1[-1], p - 2, p)
-        q = [0] * max(0, len(r0) - db)
-        for i in range(len(r0) - 1, db - 1, -1):
-            c = r0[i] * lead_inv % p
-            if c:
-                q[i - db] = c
-                for j in range(db):
-                    r0[i - db + j] = (r0[i - db + j] - c * r1[j]) % p
-        r = r0[:db]
-        while r and not r[-1]:
-            r.pop()
+        q, r = _divmod_mod_p(p, r0, r1)
         u = u0 + [0] * (len(q) + len(u1) - 1 - len(u0))
         for i, qi in enumerate(q):
             if qi:
@@ -188,6 +170,23 @@ def _xgcd_mod_p(p, r0, r1):
         r0 = [x * c % p for x in r0]
         u0 = [x * c % p for x in u0]
     return r0, u0
+
+
+def _divmod_mod_p(p, a, b):
+    """(q, r) with a = q b + r over F_p, on trimmed int lists."""
+    r = list(a)
+    db, lead_inv = len(b) - 1, pow(b[-1], p - 2, p)
+    q = [0] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i] * lead_inv % p
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 def reduction_rows(f, p):
@@ -205,7 +204,7 @@ def reduction_rows(f, p):
 
 def poly_pow_mod(F, g, e, f):
     """g^e mod f by square and multiply."""
-    if F.prime and poly_deg(f) >= POW_ROWS_MIN_DEG:
+    if F.prime and poly_deg(f) >= 1:
         return _pow_mod_rows(F, g, e, f)
     r = (F.one,)
     b = poly_mod(F, g, f)
