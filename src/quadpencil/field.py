@@ -172,6 +172,7 @@ class FiniteField:
 
     def _poly_mul(self, a, b):
         """Product by convolution and reduction modulo the modulus."""
+        # at degree 2 the reduction rows cost more than the schoolbook
         if self.deg >= 3 and self.red_rows is not None:
             conv = np.convolve(np.asarray(a, dtype=np.int64),
                                np.asarray(b, dtype=np.int64))
@@ -242,13 +243,7 @@ class FiniteField:
         if self._small and a != self.zero:
             log = self._log or self._tables()
             return self._exp[log[a] * e % (self.q - 1)]
-        r, b = self.one, a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
+        return _poly.power(self.mul, a, e, self.one)
 
     def is_zero(self, a):
         return a == self.zero

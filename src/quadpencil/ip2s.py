@@ -222,12 +222,7 @@ def _idempotent_root(F, K, place):
     while True:
         a = np.array([[rng.randrange(p) for _ in range(d)]
                       for _ in range(d)], dtype=np.int64)
-        b, e = one, (F.q ** d - 1) // 2
-        while e:
-            if e & 1:
-                b = mul(b, a)
-            a = mul(a, a)
-            e >>= 1
+        b = _poly.power(mul, a, (F.q ** d - 1) // 2, one)
         E1 = mul(E, (one + b) * half % p)
         E = E1 if E1.any() else mul(E, (one - b) * half % p)
         lead = tuple(E[d - 1].tolist())

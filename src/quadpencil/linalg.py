@@ -1,9 +1,9 @@
 """Exact linear algebra over field and ring contexts.
 
 Matrices are tuples of row tuples of elements; vectors are tuples.  The
-products, `rref` (and through it `rank`, `nullspace`, `mat_solve`, `inv`
-and `span_basis`), `mat_vec` and `charpoly` take one of three paths,
-chosen by the context:
+products, `rref` (and through it `rank`, `nullspace`, `mat_solve`, `inv`,
+`span_basis` and `greedy_extend`), `mat_vec` and `charpoly` take one of
+three paths, chosen by the context:
 
 * prime fields (int elements) run numpy int64 kernels on (r, c) arrays;
 * absolute extensions GF(p^k), k >= 2, run numpy int64 kernels on
@@ -20,6 +20,8 @@ n, every intermediate stays below 2^63; the plane kernels assert it.
 from __future__ import annotations
 
 import numpy as np
+
+from . import poly as _poly
 
 
 def _freeze(rows):
@@ -333,26 +335,14 @@ def span_basis(F, vectors):
 
 def greedy_extend(F, base, candidates):
     """Subsequence of candidates extending the independent family base to
-    a basis of the joint span, chosen greedily in the given order."""
-    rows = []  # (pivot column, eliminated normalized vector)
-
-    def absorb(v):
-        v = list(v)
-        for pc, w in rows:
-            c = v[pc]
-            if c != F.zero:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, w)]
-        for pc, x in enumerate(v):
-            if x != F.zero:
-                inv = F.inv(x)
-                rows.append((pc, [F.mul(inv, y) for y in v]))
-                return True
-        return False
-
-    for b in base:
-        if not absorb(b):
-            raise ValueError("base family is dependent")
-    return tuple(c for c in candidates if absorb(c))
+    a basis of the joint span, chosen greedily in the given order: with
+    base and candidates as the columns of one matrix, a column is a pivot
+    of its rref exactly when it is independent of the columns before it."""
+    nb = len(base)
+    pivots = rref(F, transpose(base + candidates))[1]
+    if pivots[:nb] != tuple(range(nb)):
+        raise ValueError("base family is dependent")
+    return tuple(candidates[c - nb] for c in pivots[nb:])
 
 
 def berkowitz(ring, A):
@@ -449,15 +439,8 @@ def det(F, A):
 
 
 def mat_pow(F, M, e):
-    n = len(M)
-    out = identity(F, n)
-    b = M
-    while e:
-        if e & 1:
-            out = mat_mul(F, out, b)
-        b = mat_mul(F, b, b)
-        e >>= 1
-    return out
+    return _poly.power(lambda A, B: mat_mul(F, A, B), M, e,
+                       identity(F, len(M)))
 
 
 def mat_poly_eval(F, f, M):

@@ -99,13 +99,7 @@ class LocalRing:
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        r, b = self.one, a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
+        return _poly.power(self.mul, a, e, self.one)
 
     # -- structure maps ----------------------------------------------------
 

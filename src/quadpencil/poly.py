@@ -6,12 +6,13 @@ the coefficient field as an explicit first argument, duck-typed so that
 field.py can import this module without a cycle.
 
 Over a prime field (``F.prime``) the hot routines leave the element
-interface for plain ints: long products are one ``np.convolve``, long
-divisions run on an int64 array, ``poly_xgcd`` runs on int lists, and
-``poly_pow_mod`` modulo f of degree k reduces each product through
-``reduction_rows`` (x^t mod f for t < 2k - 1), the rows that extension
-fields also keep for their coefficient-plane kernels.
-Every branch returns the same polynomial as the generic code.
+interface for plain ints: long products are one ``np.convolve``, every
+long division (and so ``poly_mod``, ``poly_gcd`` and ``poly_xgcd``)
+runs on int lists, and ``poly_pow_mod`` modulo f of degree k reduces
+each product through ``reduction_rows`` (x^t mod f for t < 2k - 1), the
+rows that extension fields also keep for their coefficient-plane
+kernels.  Every branch returns the same polynomial as the generic code.
+``power`` is the package's one square and multiply, for any product.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ def poly_mul(F, a, b):
 def poly_divmod(F, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if F.prime and len(a) > 16 and len(b) > 1:
-        return _poly_divmod_np(F, a, b)
+    if F.prime:
+        q, r = _divmod_mod_p(F.p, a, b)
+        return tuple(q), tuple(r)
     r = list(a)
     db, lead_inv = len(b) - 1, F.inv(b[-1])
     q = [F.zero] * max(0, len(a) - db)
@@ -98,24 +100,6 @@ def poly_divmod(F, a, b):
         for j in range(db + 1):
             r[i - db + j] = F.sub(r[i - db + j], F.mul(c, b[j]))
     return poly_trim(F, q), poly_trim(F, r)
-
-
-def _poly_divmod_np(F, a, b):
-    p = F.p
-    r = np.array(a, dtype=np.int64)
-    bv = np.array(b, dtype=np.int64)
-    db = len(b) - 1
-    lead_inv = pow(int(bv[-1]), p - 2, p)
-    q = np.zeros(max(0, len(a) - db), dtype=np.int64)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = int(r[i]) % p
-        if c == 0:
-            continue
-        c = c * lead_inv % p
-        q[i - db] = c
-        r[i - db:i + 1] = (r[i - db:i + 1] - c * bv) % p
-    return (poly_trim(F, [int(x) for x in q]),
-            poly_trim(F, [int(x) for x in r]))
 
 
 def poly_mod(F, a, b):
@@ -173,7 +157,8 @@ def _xgcd_mod_p(p, r0, r1):
 
 
 def _divmod_mod_p(p, a, b):
-    """(q, r) with a = q b + r over F_p, on trimmed int lists."""
+    """(q, r) as int lists with a = q b + r over F_p, for trimmed int
+    sequences a and b."""
     r = list(a)
     db, lead_inv = len(b) - 1, pow(b[-1], p - 2, p)
     q = [0] * max(0, len(a) - db)
@@ -202,39 +187,44 @@ def reduction_rows(f, p):
     return np.array(rows)
 
 
+def power(mul, x, e, one):
+    """x^e for an integer e >= 0 by square and multiply under mul, which
+    must be associative: from the lowest set bit of e up, so that nothing
+    is multiplied by one and the last squaring is never made."""
+    if not e:
+        return one
+    while not e & 1:
+        x = mul(x, x)
+        e >>= 1
+    r = x
+    while e > 1:
+        e >>= 1
+        x = mul(x, x)
+        if e & 1:
+            r = mul(r, x)
+    return r
+
+
 def poly_pow_mod(F, g, e, f):
     """g^e mod f by square and multiply."""
     if F.prime and poly_deg(f) >= 1:
         return _pow_mod_rows(F, g, e, f)
-    r = (F.one,)
-    b = poly_mod(F, g, f)
-    while e:
-        if e & 1:
-            r = poly_mod(F, poly_mul(F, r, b), f)
-        b = poly_mod(F, poly_mul(F, b, b), f)
-        e >>= 1
-    return r
+    return power(lambda u, v: poly_mod(F, poly_mul(F, u, v), f),
+                 poly_mod(F, g, f), e, (F.one,))
 
 
 def _pow_mod_rows(F, g, e, f):
     """poly_pow_mod over F_p on length-k int64 vectors, k = deg f: a
     product mod f is one convolution times the rows x^t mod f.  f need
     not be monic, as its monic multiple leaves the same remainders."""
-    if not e:
-        return (F.one,)
     p, k = F.p, poly_deg(f)
     rows = reduction_rows(poly_monic(F, f), p)
     g = poly_mod(F, g, f)
     b = np.zeros(k, dtype=np.int64)
     b[:len(g)] = g
-    r = None
-    while True:
-        if e & 1:
-            r = b if r is None else np.convolve(r, b) % p @ rows % p
-        e >>= 1
-        if not e:
-            return poly_trim(F, r.tolist())
-        b = np.convolve(b, b) % p @ rows % p
+    r = power(lambda u, v: np.convolve(u, v) % p @ rows % p, b, e,
+              np.eye(1, k, dtype=np.int64)[0])
+    return poly_trim(F, r.tolist())
 
 
 def poly_eval(F, f, x):

@@ -67,6 +67,9 @@ def test_tower_extension():
     # Frobenius x -> x^9 fixes exactly the base copy
     fixed = [x for x in K.elements() if K.pow(x, 9) == x]
     assert sorted(fixed) == sorted(K.lift(c) for c in F9.elements())
+    for x in K.elements():
+        assert K.pow(x, 0) == K.one
+        assert K.pow(x, K.q - 1) == (K.zero if x == K.zero else K.one)
 
 
 def test_pow_and_order():

@@ -103,6 +103,7 @@ def test_mat_poly_eval_matches_power_sum(p, deg):
     for _ in range(20):
         n = rng.randrange(1, 5)
         M = _rand_mat(F, rng, n, n)
+        assert la.mat_pow(F, M, 0) == la.identity(F, n)
         f = tuple(F.rand(rng) for _ in range(rng.randrange(0, 5)))
         want = la.zeros(F, n, n)
         for i, c in enumerate(f):
@@ -148,17 +149,52 @@ def test_berkowitz_over_local_ring():
             assert det == want
 
 
+def _greedy_by_rank(F, base, candidates):
+    """Candidates kept exactly when they raise the rank of base and the
+    kept ones, the rank taken on the generic elimination path."""
+    kept = ()
+    for c in candidates:
+        R, A = as_generic(F, base + kept + (c,))
+        if la.rank(R, A) > len(base) + len(kept):
+            kept += (c,)
+    return kept
+
+
+def _combination(F, rng, vectors, n):
+    """A random linear combination of vectors of length n."""
+    out = (F.zero,) * n
+    for v in vectors:
+        c = F.rand(rng)
+        out = tuple(F.add(x, F.mul(c, y)) for x, y in zip(out, v))
+    return out
+
+
 def test_greedy_extend_completes_basis():
-    F = make_field(7)
-    rng = random.Random(27)
-    for _ in range(20):
-        n = rng.randrange(2, 6)
-        k = rng.randrange(1, n)
-        M = _rand_inv(F, rng, n)
-        base = M[:k]
-        ext = la.greedy_extend(F, base, la.identity(F, n))
-        assert len(ext) == n - k
-        assert la.rank(F, base + ext) == n
+    """greedy_extend keeps exactly the candidates that raise the rank, in
+    order, and completes a basis; among the candidates are zero vectors,
+    repeats, combinations of the base and several vectors of one plane.
+    A dependent base raises ValueError."""
+    fields = [make_field(7), make_field(101), make_field(3, 2),
+              make_field(5, 2), _plane_and_tower_fields()[-1]]
+    for F in fields:
+        rng = random.Random(27)
+        for _ in range(20):
+            n = rng.randrange(2, 6)
+            k = rng.randrange(0, n)
+            M = _rand_inv(F, rng, n)
+            base = M[:k]
+            cands = [(F.zero,) * n, _combination(F, rng, base, n)]
+            for _ in range(rng.randrange(0, 4)):
+                cands.append(_combination(F, rng, M[k:k + 2], n))
+                cands.append(rng.choice(cands))
+            cands = tuple(cands) + la.identity(F, n)
+            ext = la.greedy_extend(F, base, cands)
+            assert ext == _greedy_by_rank(F, base, cands)
+            assert la.rank(F, base + ext) == n
+            assert la.greedy_extend(F, base, ()) == ()
+            for dep in ((F.zero,) * n, _combination(F, rng, base, n)):
+                with pytest.raises(ValueError):
+                    la.greedy_extend(F, base + (dep,), cands)
 
 
 def _plane_and_tower_fields():

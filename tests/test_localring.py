@@ -24,6 +24,18 @@ def test_ring_axioms_and_units():
     # pi is nilpotent of the exact order
     assert R.mul(R.pi, R.mul(R.pi, R.pi)) == R.zero
     assert R.mul(R.pi, R.pi) != R.zero
+    # powers of units of GF(9)[pi]/pi^3 against repeated products
+    R = LocalRing(make_field(3, 2), 3)
+    for _ in range(20):
+        a = ring_rand(R, rng)
+        if not R.is_unit(a):
+            continue
+        for e in (0, 1, 2, 7, -3):
+            x = a if e >= 0 else R.inv(a)
+            want = R.one
+            for _ in range(abs(e)):
+                want = R.mul(want, x)
+            assert R.pow(a, e) == want
 
 
 def test_valuation_and_pi_shifts():

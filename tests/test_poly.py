@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quadpencil.field import make_field
+from quadpencil.field import FiniteField, make_field
 from quadpencil.poly import (poly_trim, poly_deg, poly_add, poly_sub,
                              poly_mul, poly_divmod, poly_mod, poly_gcd,
                              poly_monic, poly_eval, poly_xgcd, poly_pow_mod,
@@ -23,7 +23,22 @@ def _rand_poly(F, rng, deg):
     return tuple(f)
 
 
+def _division_pairs(F, rng):
+    """(a, b) with a of every length 1..60 and b of every length 1..30,
+    b monic or not; a's coefficients may vanish anywhere but at the top."""
+    for na in range(1, 61):
+        for nb in range(1, 31):
+            a = tuple(F.rand(rng) for _ in range(na - 1)) + (
+                rng.randrange(1, F.p),)
+            b = tuple(F.rand(rng) for _ in range(nb - 1)) + (
+                rng.choice((1, rng.randrange(1, F.p))),)
+            yield a, b
+
+
 def test_divmod_reconstructs():
+    """a = q b + r with deg r < deg b, trimmed; over F_3 and F_101, at
+    every dividend length up to 60 and divisor length up to 30, q and r
+    equal those of the element-generic division over F[pi]/(pi)."""
     F = make_field(7)
     rng = random.Random(11)
     for _ in range(100):
@@ -32,6 +47,37 @@ def test_divmod_reconstructs():
         q, r = poly_divmod(F, a, b)
         assert poly_deg(r) < poly_deg(b)
         assert poly_trim(F, poly_add(F, poly_mul(F, q, b), r)) == a
+    for p in (3, 101):
+        F = make_field(p)
+        R, _ = as_generic(F, ())
+        for a, b in _division_pairs(F, random.Random(p)):
+            q, r = poly_divmod(F, a, b)
+            assert poly_trim(F, q) == q and poly_trim(F, r) == r
+            assert poly_deg(r) < poly_deg(b)
+            assert poly_add(F, poly_mul(F, q, b), r) == a
+            qR, rR = poly_divmod(R, tuple((c,) for c in a),
+                                 tuple((c,) for c in b))
+            assert (q, r) == (tuple(c for (c,) in qR),
+                              tuple(c for (c,) in rR))
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(F, (1, 2), ())
+
+
+def test_prime_division_makes_no_element_calls(monkeypatch):
+    """Over a prime field every long division, short ones included, runs
+    on ints without FiniteField.mul, sub or inv."""
+    cases = []
+    for p in (3, 101):
+        F = make_field(p)
+        cases += [(F, a, b) for a, b in _division_pairs(F, random.Random(p))]
+
+    def forbidden(*args):
+        raise AssertionError("element call in a prime-field division")
+
+    for name in ("mul", "sub", "inv"):
+        monkeypatch.setattr(FiniteField, name, forbidden)
+    for F, a, b in cases:
+        poly_divmod(F, a, b)
 
 
 def test_gcd_divides_both():
