@@ -107,14 +107,12 @@ def _place_degree(place):
 
 
 def _image(F, g, place):
-    """The place whose roots are g(x) for the roots x of place."""
-    if _place_degree(place) == 1:
-        y = g.apply_point(INF if place is INF else F.neg(place[0]))
-        return INF if y is INF else (F.neg(y), F.one)
-    # an irreducible form of degree >= 2 has no rational root, so the
-    # moved form keeps its lambda^d term
-    moved = BinaryForm.from_affine(F, place, _poly.poly_deg(place))
-    return tuple(moved.compose(g.inverse()).normalized().coeffs)
+    """The place whose roots are g(x) for the roots x of place: the
+    place's binary form, INF being mu, with g^-1 substituted."""
+    form = (BinaryForm.make(F, 1, (F.one, F.zero)) if place is INF
+            else BinaryForm.from_affine(F, place, _poly.poly_deg(place)))
+    moved = form.compose(g.inverse()).normalized().coeffs
+    return INF if moved[-1] == F.zero else moved
 
 
 def _twisted_layers(F, layers, g):
@@ -252,15 +250,15 @@ def _combinations(F, lead, multiples):
 
 def _projective_homographies(F, basis):
     """The invertible projective points of the span of basis, vectors
-    (a, b, d, e), as homographies: each basis vector plus every
-    combination of the vectors after it."""
+    (a, b, d, e), as normalized homographies: each basis vector plus
+    every combination of the vectors after it."""
     elems = list(F.elements())
     multiples = [[tuple(F.mul(c, t) for t in w) for c in elems]
                  for w in basis[1:]]
     for i, lead in enumerate(basis):
         for a, b, d, e in _combinations(F, lead, multiples[i:]):
             if F.mul(a, e) != F.mul(b, d):
-                yield Homography.make(F, ((a, b), (d, e)))
+                yield Homography.make(F, ((a, b), (d, e))).normalized()
 
 
 def _pinned(F, pins):

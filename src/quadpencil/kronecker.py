@@ -309,22 +309,14 @@ def kronecker_decompose(P):
                               _la.block_diag(F, [_la.identity(F, done), step]))
         indices.append(c.h)
         cur = comp
-    # stable-sort blocks ascending by index: reorder the columns of S
-    order = sorted(range(len(indices)), key=lambda i: (indices[i], i))
-    offsets = [0]
-    for h in indices:
-        offsets.append(offsets[-1] + 2 * h + 1)
-    perm_cols = []
-    for i in order:
-        perm_cols.extend(range(offsets[i], offsets[i + 1]))
-    perm_cols.extend(range(offsets[-1], n))
-    S_total = tuple(tuple(row[j] for j in perm_cols) for row in S_total)
-    indices_sorted = tuple(sorted(indices))
-    report = KroneckerReport(indices_sorted, S_total, cur)
+    # each chain is minimal, so the indices come out ascending
+    if indices != sorted(indices):
+        raise AssertionError("Kronecker indices were stripped out of order")
+    report = KroneckerReport(tuple(indices), S_total, cur)
     final = apply_congruence(P, S_total)
-    ref = _la.block_diag(F, [kh_matrix(F, h).b_inf for h in indices_sorted]
+    ref = _la.block_diag(F, [kh_matrix(F, h).b_inf for h in indices]
                          + [cur.b_inf])
-    ref0 = _la.block_diag(F, [kh_matrix(F, h).b_0 for h in indices_sorted]
+    ref0 = _la.block_diag(F, [kh_matrix(F, h).b_0 for h in indices]
                           + [cur.b_0])
     if final.b_inf != ref or final.b_0 != ref0:
         raise AssertionError("decomposition does not reassemble the input")

@@ -1,8 +1,10 @@
 """Symmetric matrix pencils b_lambda = lambda*B_inf + B_0.
 
 Defines the pencil/binary-form/homography value types, the congruence and
-PGL2 actions, solution verification, and the JSON instance format.  The
-point at infinity on the projective line is the module-level sentinel INF.
+GL_2 actions, solution verification, and the JSON instance format.  A
+homography is an exact invertible 2x2 matrix; only its normalized() form
+forgets the scalar.  The point at infinity on the projective line is the
+module-level sentinel INF.
 """
 
 from __future__ import annotations
@@ -83,100 +85,73 @@ class BinaryForm:
     def normalized(self):
         """Scale so the first nonzero coefficient in lambda-descending
         order is 1; the zero form is returned unchanged."""
-        F = self.ctx
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c != F.zero:
-                inv = F.inv(c)
-                return BinaryForm.make(
-                    F, self.degree, [F.mul(inv, x) for x in self.coeffs])
-        return self
+        return BinaryForm(self.ctx, self.degree,
+                          _lead_one(self.ctx, self.coeffs[::-1])[::-1])
 
     def compose(self, g):
         """Substitute (lambda:mu) -> g*(lambda:mu)."""
         F = self.ctx
         (a, b), (d, e) = g.m
         n = self.degree
-        row = (b, a)   # a*lambda + b*mu as a degree-1 form
-        col = (e, d)
-        rows = [(F.one,)]
-        cols = [(F.one,)]
+        rows = [(F.one,)]   # powers of a*lambda + b*mu
+        cols = [(F.one,)]   # powers of d*lambda + e*mu
         for _ in range(n):
-            rows.append(_bf_conv(F, rows[-1], row))
-            cols.append(_bf_conv(F, cols[-1], col))
-        out = [F.zero] * (n + 1)
+            rows.append(_poly.poly_mul(F, rows[-1], (b, a)))
+            cols.append(_poly.poly_mul(F, cols[-1], (e, d)))
+        out = ()
         for i, c in enumerate(self.coeffs):
-            if c == F.zero:
-                continue
-            term = _bf_conv(F, rows[i], cols[n - i])
-            for j, t in enumerate(term):
-                out[j] = F.add(out[j], F.mul(c, t))
-        return BinaryForm.make(F, n, out)
+            out = _poly.poly_add(F, out, _poly.poly_scale(
+                F, c, _poly.poly_mul(F, rows[i], cols[n - i])))
+        return BinaryForm.from_affine(F, out, n)
 
 
-def _bf_conv(F, a, b):
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return tuple(out)
+def _lead_one(F, xs):
+    """xs divided by its first nonzero entry, as a tuple; all zeros are
+    returned unchanged."""
+    for x in xs:
+        if x != F.zero:
+            inv = F.inv(x)
+            return tuple(F.mul(inv, y) for y in xs)
+    return tuple(xs)
 
 
 @dataclass(frozen=True)
 class Homography:
+    """An element g = ((a, b), (d, e)) of GL_2, acting on (lambda:mu) by
+    matrix multiplication.  The matrix is kept exactly: g and c*g are
+    different values, and twist(P, c*g) is c*twist(P, g)."""
     ctx: object
-    m: tuple  # ((a, b), (d, e)), row-major, first nonzero entry 1
+    m: tuple  # ((a, b), (d, e)), row-major, determinant nonzero
 
     @staticmethod
     def make(ctx, m):
         (a, b), (d, e) = m
-        det = ctx.sub(ctx.mul(a, e), ctx.mul(b, d))
-        if det == ctx.zero:
+        if ctx.mul(a, e) == ctx.mul(b, d):
             raise ValueError("homography matrix is singular")
-        for lead in (a, b, d, e):
-            if lead == ctx.one:
-                return Homography(ctx, ((a, b), (d, e)))
-            if lead != ctx.zero:
-                inv = ctx.inv(lead)
-                return Homography(ctx, (
-                    (ctx.mul(inv, a), ctx.mul(inv, b)),
-                    (ctx.mul(inv, d), ctx.mul(inv, e))))
-        raise AssertionError("unreachable")
+        return Homography(ctx, ((a, b), (d, e)))
 
     @staticmethod
     def identity(ctx):
-        return Homography.make(ctx, ((ctx.one, ctx.zero), (ctx.zero, ctx.one)))
+        return Homography.make(ctx, _la.identity(ctx, 2))
+
+    def normalized(self):
+        """The PGL_2 representative: the scalar multiple whose first
+        nonzero entry in row-major order is 1."""
+        a, b, d, e = _lead_one(self.ctx, self.m[0] + self.m[1])
+        return Homography(self.ctx, ((a, b), (d, e)))
 
     def inverse(self):
+        """The exact matrix inverse."""
         F = self.ctx
         (a, b), (d, e) = self.m
-        return Homography.make(F, ((e, F.neg(b)), (F.neg(d), a)))
+        s = F.inv(F.sub(F.mul(a, e), F.mul(b, d)))
+        return Homography(F, ((F.mul(s, e), F.neg(F.mul(s, b))),
+                              (F.neg(F.mul(s, d)), F.mul(s, a))))
 
     def compose(self, other):
         """Matrix product self*other, so that twisting by the result equals
         twisting by self then by other."""
-        F = self.ctx
-        (a, b), (d, e) = self.m
-        (a2, b2), (d2, e2) = other.m
-        return Homography.make(F, (
-            (F.add(F.mul(a, a2), F.mul(b, d2)),
-             F.add(F.mul(a, b2), F.mul(b, e2))),
-            (F.add(F.mul(d, a2), F.mul(e, d2)),
-             F.add(F.mul(d, b2), F.mul(e, e2)))))
-
-    def apply_point(self, x):
-        """Moebius action on P1(k): x -> (a x + b)/(d x + e)."""
-        F = self.ctx
-        (a, b), (d, e) = self.m
-        if x is INF:
-            if d == F.zero:
-                return INF
-            return F.div(a, d)
-        num = F.add(F.mul(a, x), b)
-        den = F.add(F.mul(d, x), e)
-        if den == F.zero:
-            return INF
-        return F.div(num, den)
+        return Homography(self.ctx, _la.mat_mul(self.ctx, self.m, other.m))
 
 
 def polarize(F, Q):

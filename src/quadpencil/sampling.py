@@ -28,10 +28,11 @@ def rand_invertible(F, rng, n):
 
 
 def rand_homography(F, rng):
+    """A random element of PGL_2(F) as its normalized matrix."""
     while True:
         a, b, d, e = (F.rand(rng) for _ in range(4))
         if F.sub(F.mul(a, e), F.mul(b, d)) != F.zero:
-            return Homography.make(F, ((a, b), (d, e)))
+            return Homography.make(F, ((a, b), (d, e))).normalized()
 
 
 def rand_pencil(F, rng, n):

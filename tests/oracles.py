@@ -1,10 +1,10 @@
 """Reference oracles the tests compare the package against: square roots
 and local-ring elements by enumeration, modular powers of polynomials by
 square and multiply, the companion matrix, pointwise evaluation of forms
-and pencils, place data read straight off the characteristic form, the
-exhaustive PGL_2 sweep for the homographies relating two binary forms,
-and loop versions of the extension-field product and the matrix
-product."""
+and pencils, the Moebius action of a homography on a point, place data
+read straight off the characteristic form, the exhaustive PGL_2 sweep for
+the homographies relating two binary forms, and loop versions of the
+extension-field product and the matrix product."""
 
 import itertools
 
@@ -205,6 +205,18 @@ def factor_signature(P):
         out.setdefault((d, ranks), []).append(place)
     return {de: tuple(sorted(ps, key=lambda p: place_key(F, p)))
             for de, ps in out.items()}
+
+
+def mobius(g, x):
+    """The Moebius action x -> (a x + b)/(d x + e) of g on a point of
+    P^1(F), INF included."""
+    F = g.ctx
+    (a, b), (d, e) = g.m
+    if x is INF:
+        num, den = a, d
+    else:
+        num, den = F.add(F.mul(a, x), b), F.add(F.mul(d, x), e)
+    return INF if den == F.zero else F.div(num, den)
 
 
 def all_homographies(F):

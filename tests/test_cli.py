@@ -1,8 +1,14 @@
 """Command-line surface: subcommands, block grammar, exit codes."""
 
 import json
+import random
 
+from quadpencil import linalg as la
+from quadpencil import sampling as sp
 from quadpencil.cli import main
+from quadpencil.field import make_field
+from quadpencil.pencil import (Pencil, apply_congruence, emit_matrix,
+                               emit_pencil)
 
 
 def _run(capsys, argv):
@@ -142,6 +148,26 @@ def test_verify_rejects_corrupt_solutions(tmp_path, capsys):
     assert main(["verify", pre + "_missing.json", pre + "_B.json",
                  str(bad)]) == 1
     capsys.readouterr()
+
+
+def test_verify_takes_gamma_in_gl2(tmp_path, capsys):
+    # B = S^t (2A) S = S^t twist(A, 2I) S over F_5, where 2 is a
+    # non-square: gamma = 2I is a valid witness, and gamma = I, its PGL_2
+    # representative, is not
+    F = make_field(5)
+    rng = random.Random(1)
+    A = sp.rand_regular_pencil(F, rng, 3)
+    S = sp.rand_invertible(F, rng, 3)
+    B = apply_congruence(Pencil.make(F, la.mat_scale(F, 2, A.b_inf),
+                                     la.mat_scale(F, 2, A.b_0)), S)
+    a, b, sol = (tmp_path / "a.json", tmp_path / "b.json",
+                 tmp_path / "sol.json")
+    a.write_text(json.dumps(emit_pencil(A)))
+    b.write_text(json.dumps(emit_pencil(B)))
+    for gamma, rc_want in (([[2, 0], [0, 2]], 0), ([[1, 0], [0, 1]], 2)):
+        sol.write_text(json.dumps({"S": emit_matrix(F, S), "gamma": gamma}))
+        rc, doc = _run(capsys, ["verify", str(a), str(b), str(sol)])
+        assert rc == rc_want and doc == {"verified": rc_want == 0}
 
 
 def test_gen_is_deterministic(capsys):

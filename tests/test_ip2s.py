@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quadpencil.field import make_field
+from quadpencil.field import field_nonsquare, make_field
 from quadpencil import linalg as la
 from quadpencil import poly as pl
 from quadpencil import sampling as sp
@@ -225,13 +225,16 @@ def _solve(monkeypatch, A, B):
 def test_transported_layers_match_canonical_twist():
     # the transport rule against canonicalize on the twist, with layers
     # of order ell <= 3 at INF and at places of degree 1 to 3; every third
-    # g fixes INF
+    # g fixes INF.  Each g is also fed as the exact GL_2 matrix c*g for a
+    # non-square c: the norms N carry the scalar, so no separate bit is
+    # needed for it
     rng = random.Random(107)
     seen = set()
-    for F in (make_field(3), make_field(5), make_field(7), make_field(13),
-              make_field(3, 2)):
+    for F in (make_field(3), make_field(5), make_field(7), make_field(31),
+              make_field(3, 2), make_field(5, 2)):
         quad = next(_irreducibles(F, 2))
         cub = next(_irreducibles(F, 3))
+        nsq = field_nonsquare(F)
         for i in range(8):
             blocks = []
             for _ in range(rng.randint(1, 3)):
@@ -244,8 +247,10 @@ def test_transported_layers_match_canonical_twist():
             while i % 3 == 0 and g.m[1][0] != F.zero:
                 g = sp.rand_homography(F, rng)    # one fixing INF
             layers = _layers(canonicalize(A))
-            assert (_twisted_layers(F, layers, g)
-                    == _layers(canonicalize(twist(A, g))))
+            for c in (F.one, nsq):
+                gc = Homography.make(F, la.mat_scale(F, c, g.m))
+                assert (_twisted_layers(F, layers, gc)
+                        == _layers(canonicalize(twist(A, gc))))
             for t, _ in layers:
                 seen.add((_image(F, g.inverse(), t) is INF, t is INF,
                           _place_degree(t)))

@@ -7,13 +7,14 @@ import pytest
 from quadpencil.field import make_field
 from quadpencil import linalg as la
 from quadpencil import sampling as sp
+from quadpencil.ip2s import _image
 from quadpencil.pencil import (Pencil, BinaryForm, Homography, INF,
                                char_poly, twist, apply_congruence,
                                polarize, quadratic_part, verify_ip1s,
                                verify_ip2s, parse_pencil, emit_pencil,
                                parse_solution, emit_solution)
 
-from oracles import form_at, pencil_at
+from oracles import form_at, mobius, pencil_at
 
 
 def test_pencil_make_checks():
@@ -71,42 +72,41 @@ def test_twist_composition_and_charpoly():
         P = sp.rand_pencil(F, rng, n)
         g = sp.rand_homography(F, rng)
         h = sp.rand_homography(F, rng)
-        # compose normalizes its matrix, so the pencils agree up to one
-        # overall scalar
-        T1 = twist(twist(P, g), h)
-        T2 = twist(P, g.compose(h))
-        c = None
-        for M1, M2 in ((T1.b_inf, T2.b_inf), (T1.b_0, T2.b_0)):
-            for r1, r2 in zip(M1, M2):
-                for x, y in zip(r1, r2):
-                    if c is None and y != F.zero:
-                        c = F.div(x, y)
-                    assert (c is None and x == F.zero) or x == F.mul(c, y)
+        # compose is the exact matrix product, so twisting agrees exactly
+        assert twist(twist(P, g), h) == twist(P, g.compose(h))
         # characteristic form transforms by composition
         a = char_poly(twist(P, g)).normalized()
         b = char_poly(P).compose(g).normalized()
         assert a == b
 
 
+def _point_place(F, x):
+    """The place of the rational point x: INF, or lambda - x."""
+    return INF if x is INF else (F.neg(x), F.one)
+
+
 def test_homography_point_action():
+    # _image moves every rational point as the Moebius action does
     F = make_field(13)
     rng = random.Random(42)
     pts = list(F.elements()) + [INF]
+    gid = Homography.identity(F)
     for _ in range(40):
         g = sp.rand_homography(F, rng)
-        h = sp.rand_homography(F, rng)
-        x = rng.choice(pts)
-        assert g.compose(h).apply_point(x) == g.apply_point(h.apply_point(x))
-        assert g.inverse().apply_point(g.apply_point(x)) == x
-    gid = Homography.identity(F)
-    assert gid.apply_point(INF) is INF
-    assert gid.apply_point(5) == 5
+        g = Homography.make(F, la.mat_scale(F, rng.randrange(1, 13), g.m))
+        for x in pts:
+            assert (_image(F, g, _point_place(F, x))
+                    == _point_place(F, mobius(g, x)))
+        assert g.compose(g.inverse()) == gid
+        assert g.inverse().compose(g) == gid
+    assert _image(F, gid, INF) is INF
 
 
 def test_homography_normalization():
     F = make_field(7)
     g = Homography.make(F, ((2, 4), (0, 2)))
-    assert g.m == ((1, 2), (0, 1))
+    assert g.m == ((2, 4), (0, 2))
+    assert g.normalized().m == ((1, 2), (0, 1))
     with pytest.raises(ValueError):
         Homography.make(F, ((1, 2), (2, 4)))
 
@@ -201,3 +201,10 @@ def test_solution_json_roundtrip():
     assert S3 == S and g3 is None
     with pytest.raises(ValueError):
         parse_solution(F, 3, {"S": [[0, 0], [0, 0]]})
+
+
+def test_parse_solution_keeps_gamma_exact():
+    # gamma is an element of GL_2, not of PGL_2: 2I is not the identity
+    F = make_field(5)
+    S, g = parse_solution(F, 1, {"S": [[1]], "gamma": [[2, 0], [0, 2]]})
+    assert S == ((1,),) and g.m == ((2, 0), (0, 2))
