@@ -11,15 +11,16 @@ set is pinned down from these place classes.  A and B are canonicalized
 once; each candidate is checked by carrying A's layers over by g, and
 only the winner's twist is canonicalized, to build S.
 
-The transport rule works in F alone.  Write g = ((a, b), (d, e)).  A
-place p of degree k of twist(A, g), with g(p) = t a place of A, takes
-the layers (ell, r) of A at t.  Let (u, v) = (a, b) when t is INF and
-(d, e) otherwise; let N = u when p is INF and otherwise
-N_{K/F}(u zeta + v) for a root zeta of p, which is (-u)^k p(-v/u) for
-u != 0 and v^k for u = 0; and let s = -1 when exactly one of p and t is
-INF and s = 1 otherwise.  With eps 1 on
+The transport rule works in F alone.  A place p of degree k of
+twist(A, g), with g(p) = t a place of A, takes the layers (ell, r) of A
+at t.  Substituting g into the binary form of t, INF being the form mu,
+gives c times the form of p for one scalar c.  Let s = -det g when
+exactly one of p and t is INF and s = det g otherwise, and N = s
+det(g)^(k-1) / c.  N is the norm N_{K/F}(u zeta + v) for a root zeta of
+p, where (u, v) is the row (a, b) of g = ((a, b), (d, e)) when t is INF
+and (d, e) otherwise, and N = u when p is INF.  With eps 1 on
 non-squares and 0 on squares, the layer flips its character exactly
-when r is odd and eps(N) + ell k eps(s det g) is odd.
+when r is odd and eps(N) + ell k eps(s) is odd.
 
 Pinning is linear algebra over the base field.  "g = ((a, b), (d, e))
 sends (x0:x1) to (y0:y1)" is the condition (a x0 + b x1) y1 - (d x0 +
@@ -106,13 +107,17 @@ def _place_degree(place):
     return 1 if place is INF else _poly.poly_deg(place)
 
 
-def _image(F, g, place):
-    """The place whose roots are g(x) for the roots x of place: the
-    place's binary form, INF being mu, with g^-1 substituted."""
+def _image(F, h, place):
+    """(p, c) with form(place) o h = c form(p): p is the place whose roots
+    are h^-1(x) for the roots x of place, read off the place's binary
+    form, INF being mu, with h substituted."""
     form = (BinaryForm.make(F, 1, (F.one, F.zero)) if place is INF
             else BinaryForm.from_affine(F, place, _poly.poly_deg(place)))
-    moved = form.compose(g.inverse()).normalized().coeffs
-    return INF if moved[-1] == F.zero else moved
+    moved = form.compose(h)
+    c = moved.coeffs[-1]
+    if c == F.zero:
+        return INF, moved.coeffs[0]
+    return moved.normalized().coeffs, c
 
 
 def _twisted_layers(F, layers, g):
@@ -120,20 +125,12 @@ def _twisted_layers(F, layers, g):
     rule of the module docstring; every square class is taken in F."""
     (a, b), (d, e) = g.m
     det = F.sub(F.mul(a, e), F.mul(b, d))
-    ginv = g.inverse()
     out = {}
     for (t, ell), (r, delta) in layers.items():
-        p = _image(F, ginv, t)
-        u, v = (a, b) if t is INF else (d, e)
+        p, c = _image(F, g, t)
         k = _place_degree(p)
-        if p is INF:
-            norm = u
-        elif u == F.zero:
-            norm = F.pow(v, k)
-        else:
-            norm = F.mul(F.pow(F.neg(u), k),
-                         _poly.poly_eval(F, p, F.neg(F.div(v, u))))
         s = det if (p is INF) == (t is INF) else F.neg(det)
+        norm = F.div(F.mul(s, F.pow(det, k - 1)), c)
         odd = (not F.is_square(norm)) + ell * k * (not F.is_square(s))
         out[p, ell] = (r, delta != (r % 2 == 1 and odd % 2 == 1))
     return out
@@ -285,9 +282,6 @@ def _pinned(F, pins):
 def _candidate_pool(F, sig_src, sig_dst):
     """Candidates mapping the places of sig_src onto those of sig_dst,
     pinned by the cheapest set of places and filtered by the others."""
-    if not sig_src:
-        raise ValueError("no places pin a homography; the pencils are "
-                         "entirely singular")
     if sorted(sig_src) != sorted(sig_dst) or any(
             len(sig_src[de]) != len(sig_dst[de]) for de in sig_src):
         return ()
@@ -321,7 +315,8 @@ def _candidate_pool(F, sig_src, sig_dst):
     free = [(p, de) for de in classes for p in sig_src[de] if p not in pinned]
     out = []
     for g in _pinned(F, [(p, sig_dst[de]) for p, de in pins]):
-        if all(_image(F, g, p) in dst[de] for p, de in free):
+        ginv = g.inverse()
+        if all(_image(F, ginv, p)[0] in dst[de] for p, de in free):
             out.append(g)
             if len(out) > CANDIDATE_BUDGET:
                 raise ValueError("candidate homographies exceed the "

@@ -118,11 +118,29 @@ def primary_split(P):
 class LocalStructure:
     K: object           # residue field k[x]/f
     ell: int            # nilpotency order of pi
-    x_powers: tuple     # x^0 .. x^(d-1), x the semisimple part of c,
-                        # an exact root of f
-    pi_powers: tuple    # pi^0 .. pi^(ell-1), pi = c - x nilpotent
+    x: tuple            # semisimple part of c, an exact root of f
+    pi: tuple           # pi = c - x, nilpotent and commuting with x
     generators: tuple   # module generators, vectors in block coordinates
     orders: tuple       # pi-order of each generator, descending
+    orbit: tuple        # x^i pi^j g_s in column s ell d + j d + i,
+                        # i < d and j < ell (_orbit)
+
+
+def _orbit(F, x, pi, G, d, depth):
+    """The vectors x^i pi^j g for the columns g of G, i < d and j < depth,
+    as the columns of one matrix, ordered by g, then j, then i: the order
+    of an R-element's coefficients c_{j,i} of pi^j zeta^i."""
+    r = len(G[0])
+    xs = [G]
+    for _ in range(d - 1):
+        xs.append(_la.mat_mul(F, x, xs[-1]))
+    # column i r + s of stage j is x^i pi^j g_s
+    stages = [tuple(sum(rows, ()) for rows in zip(*xs))]
+    for _ in range(depth - 1):
+        stages.append(_la.mat_mul(F, pi, stages[-1]))
+    return tuple(tuple(stage[a][i * r + s] for s in range(r)
+                       for stage in stages for i in range(d))
+                 for a in range(len(G)))
 
 
 def local_structure(block, f):
@@ -149,50 +167,33 @@ def local_structure(block, f):
     else:
         raise ValueError("newton iteration did not converge; wrong factor")
     pi = _la.mat_sub(F, c, x)
-    zero = _la.zeros(F, nf, nf)
-    npows, pw = [], _la.identity(F, nf)
-    while pw != zero:
-        if len(npows) > m:
-            raise ValueError("nilpotent part fails to vanish; wrong factor")
-        npows.append(pw)
-        pw = _la.mat_mul(F, pw, pi)
-    ell = max(len(npows), 1)
     K = F.extension(f)
-    xpows = [_la.identity(F, nf)]
-    for _ in range(d - 1):
-        xpows.append(_la.mat_mul(F, xpows[-1], x))
     # greedy K-basis: orbits of standard vectors under the x action
-    cols = []
+    cols, starts = [], []
     for t in range(nf):
         if len(cols) == nf:
             break
         e = tuple(F.one if i == t else F.zero for i in range(nf))
         if cols and _la.solve(F, _la.transpose(tuple(cols)), e) is not None:
             continue
-        for i in range(d):
-            cols.append(e if i == 0 else _la.mat_vec(F, xpows[i], e))
+        starts.append(t)
+        cols += _la.transpose(_orbit(F, x, pi, _la.transpose((e,)), d, 1))
     if len(cols) != nf:
         raise AssertionError("orbit basis does not span the block")
     M = _la.transpose(tuple(cols))
-    Minv = _la.inv(F, M)
-
-    def kco(v):
-        flat = _la.mat_vec(F, Minv, v)
-        return tuple(tuple(flat[j * d:(j + 1) * d]) for j in range(m))
-
-    def kup(vK):
-        flat = tuple(c for comp in vK for c in comp)
-        return _la.mat_vec(F, M, flat)
-
-    NK = _la.transpose(tuple(
-        kco(_la.mat_vec(F, pi, cols[j * d])) for j in range(m)))
+    # column k of NK: the K-coordinates of pi e_t, t the start of the k-th
+    # orbit, i.e. of column t of pi
+    flat = _la.mat_solve(F, M, _la.submatrix(pi, range(nf), starts))
+    NK = tuple(tuple(tuple(flat[j * d + a][k] for a in range(d))
+                     for k in range(m)) for j in range(m))
     NKp = [_la.identity(K, m)]
-    for _ in range(ell):
+    while any(e != K.zero for row in NKp[-1] for e in row):
+        if len(NKp) > m + 1:
+            raise ValueError("nilpotent part fails to vanish; wrong factor")
         NKp.append(_la.mat_mul(K, NKp[-1], NK))
+    ell = len(NKp) - 1
     V = [_la.nullspace(K, NKp[j], ncols=m) if j else ()
          for j in range(ell + 1)]
-    if len(V[ell]) != m:
-        raise AssertionError("pi does not vanish at its nominal order")
     chains = []
     for j in range(ell, 0, -1):
         base = list(V[j - 1])
@@ -202,9 +203,11 @@ def local_structure(block, f):
         chains.extend((v, j) for v in news)
     if sum(j for _, j in chains) != m:
         raise AssertionError("kernel filtration miscounts the module")
-    gens = tuple(kup(top) for top, _ in chains)
+    G = _la.mat_mul(F, M, _la.transpose(tuple(
+        tuple(a for comp in top for a in comp) for top, _ in chains)))
     orders = tuple(j for _, j in chains)
-    return LocalStructure(K, ell, tuple(xpows), tuple(npows), gens, orders)
+    return LocalStructure(K, ell, x, pi, _la.transpose(G), orders,
+                          _orbit(F, x, pi, G, d, ell))
 
 
 def _dual_traces(F, h, u, count):
@@ -244,19 +247,22 @@ def descend_bilinear(block, st):
     gens = st.generators
     r = len(gens)
     tr, Tinv = _trace_dual_inverse(F, K.modulus)
-    xpows, npows = st.x_powers, st.pi_powers
-    # xg[s] stacks x^a g_s for a < d; column j of bn is B_inf pi^(ell-1-i)
-    # g_t with j = t ell + i, so xg[s] bn gives, column by column, the
-    # traces Tr(zeta^a <g_s, pi^(ell-1-i) g_t>) that Tinv turns into the
-    # coordinates of gram[s][t][i]
-    xg = [tuple(_la.mat_vec(F, xpows[a], g) for a in range(d)) for g in gens]
-    bn = _la.transpose(tuple(
-        _la.mat_vec(F, block.b_inf, _la.mat_vec(F, npows[ell - 1 - i], g))
-        for g in gens for i in range(ell)))
-    rows = [_la.transpose(_la.mat_mul(F, Tinv, _la.mat_mul(F, xs, bn)))
-            for xs in xg]
-    gram = tuple(tuple(rows[s][t * ell:(t + 1) * ell] for t in range(r))
-                 for s in range(r))
+    # row s d + a of xg is x^a g_s and column t ell + i of bn is B_inf
+    # pi^(ell-1-i) g_t, both read off the orbit, so entry (s d + a, t ell
+    # + i) of xg bn is the trace Tr(zeta^a <g_s, pi^(ell-1-i) g_t>); Tinv
+    # turns the d traces of each (s, t, i) into the coordinates of
+    # gram[s][t][i]
+    cols = _la.transpose(st.orbit)
+    xg = tuple(cols[s * ell * d + a] for s in range(r) for a in range(d))
+    bn = _la.mat_mul(F, block.b_inf, _la.transpose(tuple(
+        cols[(t * ell + ell - 1 - i) * d] for t in range(r)
+        for i in range(ell))))
+    tra = _la.mat_mul(F, xg, bn)
+    co = _la.mat_mul(F, Tinv, tuple(
+        sum((tra[s * d + a] for s in range(r)), ()) for a in range(d)))
+    gram = tuple(tuple(tuple(tuple(co[a][(s * r + t) * ell + i]
+                                   for a in range(d)) for i in range(ell))
+                       for t in range(r)) for s in range(r))
     want = _la.congruent(F, block.b_inf, _la.transpose(gens))
     got = _la.mat_vec(F, tuple(gram[s][t][ell - 1] for s in range(r)
                                for t in range(r)), tr)
@@ -550,23 +556,14 @@ def canonical_assemble(F, kron, entries):
 
 
 def _apply_ring_transform(F, st, T):
-    """New generators sum_s op(T[s][t]) g_s from the generators g of st,
-    where an R_ell-element acts as sum_{j,i} c_{j,i} pi^j zeta^i through
-    the power lists of st."""
-    r = len(st.generators)
-    tcount = len(T[0]) if T else 0
-    G = _la.transpose(st.generators)
-    acc = _la.zeros(F, len(G), tcount)
-    for j in range(st.ell):
-        for i, xpow in enumerate(st.x_powers):
-            C = tuple(tuple(T[s][t][j][i] for t in range(tcount))
-                      for s in range(r))
-            if all(x == F.zero for row in C for x in row):
-                continue
-            M = _la.mat_mul(F, _la.mat_mul(F, xpow, st.pi_powers[j]),
-                            _la.mat_mul(F, G, C))
-            acc = _la.mat_add(F, acc, M)
-    return tuple(_la.transpose(acc))
+    """The new generators sum_s op(T[s][t]) g_s, as columns, from the
+    generators g of st, where an R_ell-element acts as sum_{j,i} c_{j,i}
+    pi^j zeta^i: the orbit of st times the coefficients c_{j,i} of
+    T[s][t] in row s ell d + j d + i."""
+    d = st.K.deg
+    return _la.mat_mul(F, st.orbit, tuple(
+        tuple(row[t][j][i] for t in range(len(row)))
+        for row in T for j in range(st.ell) for i in range(d)))
 
 
 def _process_place(block, f, cfull, place):
@@ -578,7 +575,6 @@ def _process_place(block, f, cfull, place):
     R, gram = descend_bilinear(block, st)
     layers = split_free_layers(R, gram, st.orders)
     K, d = st.K, st.K.deg
-    xpows, npows = st.x_powers, st.pi_powers
     if d >= 2:
         zeta = (F.zero, F.one) + (F.zero,) * (d - 2)
     else:
@@ -594,18 +590,16 @@ def _process_place(block, f, cfull, place):
             Rm, _la.mat_scale(Rm, Rm.from_field(fpz), layer_gram))
         # coeffcols holds one column per layer generator; both changes of
         # generators compose into one matrix over R
-        gens = _apply_ring_transform(F, st, _la.ring_mat_mul(
+        G = _apply_ring_transform(F, st, _la.ring_mat_mul(
             R, _la.transpose(coeffcols),
             tuple(tuple(R.lift_from(x) for x in row) for row in Tm)))
-        for idx, g in enumerate(gens):
-            char = flag if idx == len(gens) - 1 else "1"
-            cols = []
-            for j in range(m):
-                ng = _la.mat_vec(F, npows[j], g)
-                for i in range(d):
-                    cols.append(_la.mat_vec(F, cfull,
-                                            _la.mat_vec(F, xpows[i], ng)))
-            entries.append(_Entry(place, m, char, tuple(cols)))
+        # the m d columns of generator idx are cfull x^i pi^j g_idx, j < m
+        cols = _la.transpose(_la.mat_mul(F, cfull,
+                                         _orbit(F, st.x, st.pi, G, d, m)))
+        for idx in range(len(Tm)):
+            char = flag if idx == len(Tm) - 1 else "1"
+            entries.append(_Entry(place, m, char,
+                                  cols[idx * m * d:(idx + 1) * m * d]))
     return entries
 
 

@@ -92,7 +92,7 @@ def _irreducibles(F, d):
 
 def _sweep(F, sig_src, sig_dst):
     return {_homography_key(F, g) for g in all_homographies(F)
-            if all(_image(F, g, p) in sig_dst[de]
+            if all(_image(F, g.inverse(), p)[0] in sig_dst[de]
                    for de in sig_src for p in sig_src[de])}
 
 
@@ -252,7 +252,7 @@ def test_transported_layers_match_canonical_twist():
                 assert (_twisted_layers(F, layers, gc)
                         == _layers(canonicalize(twist(A, gc))))
             for t, _ in layers:
-                seen.add((_image(F, g.inverse(), t) is INF, t is INF,
+                seen.add((_image(F, g, t)[0] is INF, t is INF,
                           _place_degree(t)))
     assert {(p, t) for p, t, _ in seen} == set(
         itertools.product((False, True), repeat=2))
@@ -381,8 +381,11 @@ def test_fully_singular_pair_uses_identity_homography(monkeypatch):
     S, g = out
     assert g.m == Homography.identity(F).m
     assert verify_ip2s(A, B, S, g)
-    with pytest.raises(ValueError):
-        candidate_pool(F, canonicalize(A), canonicalize(B))
+    # ip2s_solve answers from the canonical forms alone; asked anyway, the
+    # pool is every homography, since none moves a place of B off A's
+    pool = candidate_pool(F, canonicalize(A), canonicalize(B))
+    assert ([_homography_key(F, h) for h in pool]
+            == sorted(_homography_key(F, h) for h in all_homographies(F)))
 
 
 def test_large_field_split_torus_pinning(monkeypatch):

@@ -95,11 +95,11 @@ def test_homography_point_action():
         g = sp.rand_homography(F, rng)
         g = Homography.make(F, la.mat_scale(F, rng.randrange(1, 13), g.m))
         for x in pts:
-            assert (_image(F, g, _point_place(F, x))
+            assert (_image(F, g.inverse(), _point_place(F, x))[0]
                     == _point_place(F, mobius(g, x)))
         assert g.compose(g.inverse()) == gid
         assert g.inverse().compose(g) == gid
-    assert _image(F, gid, INF) is INF
+    assert _image(F, gid, INF) == (INF, F.one)
 
 
 def test_homography_normalization():

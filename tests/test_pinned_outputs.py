@@ -8,21 +8,24 @@ byte-identical keep the digest.  A second one (`INVARIANT_DIGEST`)
 covers the same records with the transforms and S dropped: the
 canonical Kronecker indices and blocks, the full Kronecker reports,
 whether each ip1s pair is equivalent, and for each ip2s pair whether it
-is equivalent and its gamma.
+is equivalent and its gamma.  A third one (`CLI_DIGEST`) covers the
+command line: the exit code, stdout and written files of each command
+in `CLI_COMMANDS`, run in-process over F_3, F_7, F_31, GF(9) and GF(4).
 
-Two ROADMAP items change `DIGEST` legitimately; record the new one with
+One ROADMAP item changes `DIGEST` legitimately; record the new one with
 the change that does it.  Solving ip2s over GL_2 instead of PGL_2
 (item 1, the scalar class of gamma) changes the reported witnesses, so
-it also changes `INVARIANT_DIGEST`.  Diagonalizing each layer once, on
-f'(zeta) times its Gram (item 4), changes the transforms and S at
-places of degree 2 and more but keeps `INVARIANT_DIGEST`.
+it also changes `INVARIANT_DIGEST`, and `CLI_DIGEST` if a pair of
+`CLI_COMMANDS` gets a new witness.
 """
 
 import hashlib
 import json
+import os
 import random
 
 from quadpencil import sampling as sp
+from quadpencil.cli import main as cli_main
 from quadpencil.field import emit_elem, make_field
 from quadpencil.ip2s import ip2s_solve
 from quadpencil.kronecker import kh_matrix, kronecker_decompose
@@ -35,6 +38,8 @@ DIGEST = ("089138e1710c7a15434afd77de3249163"
           "d0185407e8d05039a97cdde48094e1b")
 INVARIANT_DIGEST = ("3046db974f609031fe1b9809ebbf2c798"
                     "66378a4074605ee886e9f462ae9b771")
+CLI_DIGEST = ("3ca1b9d589975a0791c16537d6e3c27d9"
+              "6a4626f9c39bf43cac97b1f6ede49ba")
 
 
 def _planted(F, rng, kron, blocks):
@@ -163,3 +168,64 @@ def test_outputs_are_pinned():
 
 def test_invariants_are_pinned():
     assert _digests()[1] == INVARIANT_DIGEST
+
+
+# -- CLI outputs ----------------------------------------------------------
+
+# Each command runs in-process through quadpencil.cli.main inside one
+# temporary directory; "@x" names the file x in it.  Files are written
+# by the commands themselves, except "bad_S.json", which corrupts one
+# entry of a planted witness.
+CLI_COMMANDS = (
+    "gen --q 3 --n 4 --seed 1",
+    "gen --q 3 --degree 2 --n 3 --seed 7 --plant-ip2s",
+    "gen --q 3 --seed 5 --blocks K1,K0,L(x^2+1,1,1) -o @k3",
+    "canon @k3_A.json",
+    "gen --q 3 --seed 6 --blocks L(x^3+2x+1,1,1),L(x,2,D) -o @d3",
+    "canon @d3_A.json -o @d3_canon.json",
+    "gen --q 7 --seed 2 --blocks Linf(2,D)+L(x+4,1,1)+K0 -o @l7",
+    "canon @l7_A.json",
+    "gen --q 7 --n 4 --seed 3 --plant-ip1s -o @p7",
+    "ip1s @p7_A.json @p7_B.json -o @p7_S.json",
+    "verify @p7_A.json @p7_B.json @p7_S.json",
+    "verify @p7_A.json @p7_B.json @p7_sol.json",
+    "verify @p7_A.json @p7_B.json @bad_S.json",
+    "gen --q 7 --seed 1 --blocks L(x+1,1,1) -o @a7",
+    "gen --q 7 --seed 1 --blocks L(x+1,1,D) -o @b7",
+    "ip1s @a7_A.json @b7_A.json",
+    "gen --q 7 --seed 1 --blocks L(x,1,1),L(x+1,1,1) -o @c7",
+    "gen --q 7 --seed 1 --blocks L(x^2+1,1,1) -o @e7",
+    "ip2s @c7_A.json @e7_A.json -o @ce7.json",
+    "gen --q 31 --seed 2 --blocks L(x^2+1,2,1),Linf(1,D),K0 --plant-ip1s"
+    " -o @f31",
+    "ip1s @f31_A.json @f31_B.json",
+    "gen --q 31 --n 3 --seed 4 --plant-ip2s -o @t31",
+    "ip2s @t31_A.json @t31_B.json -o @t31_g.json",
+    "verify @t31_A.json @t31_B.json @t31_g.json",
+    "gen --q 3 --degree 2 --seed 8 --blocks L(x+1,1,1),L(x,2,D),Linf(1,1)"
+    " --plant-ip2s -o @g9",
+    "ip2s @g9_A.json @g9_B.json",
+    "canon @g9_B.json",
+    "gen --q 2 --seed 3 --blocks K0,K1 -o @c2",
+    "canon @c2_A.json",
+    "gen --q 2 --degree 2 --seed 4 --blocks K1,K0,K2 -o @c4",
+    "canon @c4_A.json -o @c4_canon.json",
+    "gen --q 7",
+)
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    h = hashlib.sha256()
+    for cmd in CLI_COMMANDS:
+        if "@bad_S.json" in cmd:
+            sol = json.loads((tmp_path / "p7_sol.json").read_text())
+            sol["S"][0][0] = (sol["S"][0][0] + 1) % 7
+            (tmp_path / "bad_S.json").write_text(json.dumps(sol))
+        before = set(tmp_path.iterdir())
+        rc = cli_main([a.replace("@", str(tmp_path) + os.sep)
+                       for a in cmd.split()])
+        h.update(json.dumps([cmd, rc, capsys.readouterr().out]).encode())
+        for path in sorted(set(tmp_path.iterdir()) - before):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        h.update(b"\n")
+    assert h.hexdigest() == CLI_DIGEST

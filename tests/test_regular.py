@@ -240,6 +240,57 @@ def test_planted_blocks_recovered():
         assert got == want
 
 
+def test_local_structure_orbit():
+    # planted primary blocks at rational places and at places of degree
+    # 2 and 3, with layers of order up to 3 and generators of mixed
+    # orders: the stored orbit lists x^i pi^j g_s in (s, j, i) order, its
+    # vectors with j < orders[s] are an F-basis of the block and the rest
+    # vanish
+    rng = random.Random(83)
+    f3, f5, f7 = make_field(3), make_field(5), make_field(7)
+    cases = [
+        (f7, (6, 1), [1]),
+        (f7, (6, 1), [3, 1, 2, 1]),
+        (f5, (2, 0, 1), [2, 1]),
+        (f5, (2, 0, 1), [1, 1, 3]),
+        (f3, (1, 2, 0, 1), [1]),
+        (f3, (1, 2, 0, 1), [2, 1, 1]),
+    ]
+    for F, f, ells in cases:
+        P, _ = sp.planted_pencil(F, rng, blocks=tuple(
+            (f, ell, rng.random() < 0.5) for ell in ells))
+        st = regular.local_structure(P, f)
+        d = len(f) - 1
+        assert st.K.deg == d and st.ell == max(ells)
+        assert list(st.orders) == sorted(ells, reverse=True)
+        want = []
+        for g, order in zip(st.generators, st.orders):
+            pg = g
+            for j in range(st.ell):
+                xpg = pg
+                for i in range(d):
+                    want.append((j < order, xpg))
+                    xpg = la.mat_vec(F, st.x, xpg)
+                pg = la.mat_vec(F, st.pi, pg)
+        assert la.transpose(st.orbit) == tuple(v for _, v in want)
+        basis = [v for live, v in want if live]
+        assert len(basis) == P.n and la.rank(F, basis) == P.n
+        assert all(v == (F.zero,) * P.n for live, v in want if not live)
+
+
+def test_local_structure_rejects_wrong_factors():
+    # a block at the place x - 1 with layers of order 2 and 1: x - 2 has
+    # the right degree but leaves pi invertible, and x^2 + 1 does not
+    # divide the dimension
+    F = make_field(7)
+    P, _ = sp.planted_pencil(F, random.Random(89), blocks=(
+        ((6, 1), 2, False), ((6, 1), 1, True)))
+    with pytest.raises(ValueError, match="nilpotent part fails to vanish"):
+        regular.local_structure(P, (5, 1))
+    with pytest.raises(ValueError, match="factor does not match"):
+        regular.local_structure(P, (1, 0, 1))
+
+
 def test_character_is_an_invariant():
     # diag(1) and diag(Delta) pencils with the same place split
     F = make_field(5)
