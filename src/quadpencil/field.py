@@ -17,8 +17,8 @@ extensions multiply by schoolbook convolution (an absolute one of degree
 and multiply, and invert by `poly.poly_xgcd`, which runs on int lists
 when the base is prime.  Every absolute extension of degree >= 2
 carries `red_rows`, the rows x^t mod f for t < 2k - 1 that reduce a
-product's convolution (`poly.reduction_rows`), which the
-coefficient-plane matrix kernels of `linalg` share.
+product's convolution (`poly.reduction_rows`), which the element-array
+matrix kernels of `linalg` share.
 
 `field_sqrt` is Tonelli-Shanks with one exponentiation per root: the
 field caches q - 1 = 2^s t and z^t for its first non-square z, and a

@@ -3,21 +3,25 @@
 Matrices are tuples of row tuples of elements; vectors are tuples.  The
 products, `rref` (and through it `rank`, `nullspace`, `mat_solve`, `inv`,
 `span_basis` and `greedy_extend`), `mat_vec` and `charpoly` take one of
-three paths, chosen by the context:
+two paths, chosen by the context:
 
-* prime fields (int elements) run numpy int64 kernels on (r, c) arrays;
-* absolute extensions GF(p^k), k >= 2, run numpy int64 kernels on
-  coefficient planes, arrays of shape (r, c, k): the products of the
-  planes of two factors sum into 2k - 1 convolution planes, which the
-  field's `red_rows`, the rows x^t mod f, reduce;
+* finite fields F_p and GF(p^k) run numpy int64 kernels on element
+  arrays, of shape (r, c) over F_p and (r, c, k) over GF(p^k), where an
+  element is its k coefficient planes.  Each kernel is written once
+  against an elementwise product `_emul` and a matrix product
+  `_matmul`.  Over F_p these are int64 products mod p; over GF(p^k) the
+  products of the planes of two factors sum into 2k - 1 convolution
+  planes, which the field's `red_rows`, the rows x^t mod f, reduce;
 * local rings and towers run one generic element loop driven by the
   context object (`is_unit` picks pivots).
 
 Tuples go to arrays and back once per call.  With p < 2^16 and desk-scale
-n, every intermediate stays below 2^63; the plane kernels assert it.
+n, every intermediate stays below 2^63; `_array` asserts it.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -28,24 +32,36 @@ def _freeze(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def _to_np(A):
-    return np.array(A, dtype=np.int64)
+# -- element arrays over F_p and GF(p^k) ------------------------------------
 
 
-def _from_np(M):
-    return tuple(map(tuple, M.tolist()))
+def _on_arrays(F):
+    """True for the fields whose kernels run on element arrays."""
+    return F.prime or F.red_rows is not None
 
 
-# -- coefficient planes of an absolute extension GF(p^k) --------------------
+def _array(F, A):
+    """Element array of a nonempty matrix over F.  Over GF(p^k) the
+    nested coefficient tuples are read through one flat iterator, about
+    twice as fast as np.array on them."""
+    if F.prime:
+        M = np.array(A, dtype=np.int64)
+    else:
+        r, c, k = len(A), len(A[0]), F.deg
+        M = np.fromiter(chain.from_iterable(chain.from_iterable(A)),
+                        np.int64, r * c * k).reshape(r, c, k)
+    # No kernel sums more than max(r, c) (2k - 1) < 2 r c k products below
+    # p^2 < 2^32 (fields keep p < 2^16), so every sum stays below 2^63.
+    assert M.size < 1 << 30, "element arrays would overflow"
+    return M
 
 
-def _to_planes(F, A):
-    """(r, c, k) array of a matrix over F."""
-    return np.array(A, dtype=np.int64).reshape(len(A), len(A[0]), F.deg)
-
-
-def _from_planes(M):
-    return tuple(tuple(map(tuple, row)) for row in M.tolist())
+def _tuples(F, M):
+    """The matrix of an element array, as row tuples of elements."""
+    rows = M.tolist()
+    if F.prime:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(map(tuple, row)) for row in rows)
 
 
 def _convolve(prods):
@@ -59,33 +75,91 @@ def _convolve(prods):
     return flat.reshape(lead + (k, 2 * k - 1)).sum(axis=-2)
 
 
-def _reduce_conv(F, conv):
-    """Elements from unreduced convolution coefficients on the last axis,
-    by the field's rows x^t mod f."""
-    return conv % F.p @ F.red_rows % F.p
+def _emul(F, a, b):
+    """Elementwise product of two broadcastable element arrays, congruent
+    mod p to the reduced one, with entries below (2k - 1) p^2."""
+    if F.prime:
+        return a * b
+    return _convolve(a[..., :, None] * b[..., None, :]) % F.p @ F.red_rows
 
 
-def _plane_mul(F, a, b):
-    """Elementwise product of two broadcastable plane arrays."""
-    return _reduce_conv(F, _convolve(a[..., :, None] * b[..., None, :]))
-
-
-def _plane_matmul(F, A, B):
-    """Matrix product of (r, m, k) and (m, c, k) plane arrays: one int64
+def _matmul(F, A, B):
+    """Reduced matrix product of element arrays.  Over GF(p^k) one int64
     matmul gives every product of a plane of A with a plane of B, and
     the products of equal degree sum into 2k - 1 convolution planes."""
+    if F.prime:
+        return A @ B % F.p
     r, m, k = A.shape
     c = B.shape[1]
-    # a convolution coefficient sums m k products below p^2
-    assert m * k * F.p ** 2 < 1 << 63, "coefficient planes would overflow"
     P = (A.transpose(0, 2, 1).reshape(r * k, m)
          @ B.reshape(m, c * k)).reshape(r, k, c, k)
-    return _reduce_conv(F, _convolve(P.transpose(0, 2, 1, 3)))
+    return _convolve(P.transpose(0, 2, 1, 3)) % F.p @ F.red_rows % F.p
+
+
+def _pivot_inverse(F, x):
+    """Inverse of a nonzero element x of an array, as an array element."""
+    if F.prime:
+        return pow(int(x), F.p - 2, F.p)
+    return np.array(F.inv(tuple(x.tolist())), dtype=np.int64)
+
+
+def _rref_array(F, M):
+    """rref of an element array, in place, and its pivot columns.  A
+    pivot row is zero left of its pivot column c, so each step works on
+    M[:, c:] only."""
+    p = F.p
+    nr, nc = M.shape[:2]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        X = M[:, c:]
+        nz = X[r:, 0].nonzero()[0]
+        if not nz.size:
+            continue
+        pr = r + int(nz[0])
+        row = _emul(F, X[pr], _pivot_inverse(F, X[pr, 0])) % p
+        if pr != r:
+            X[pr] = X[r]
+        X -= _emul(F, X[:, :1], row)
+        X %= p
+        X[r] = row
+        pivots.append(c)
+        r += 1
+    return M, tuple(pivots)
+
+
+def _berkowitz_array(F, M):
+    """Characteristic polynomial of a square element array, leading
+    coefficient first, by Berkowitz: step r multiplies the coefficients
+    so far by the lower-triangular Toeplitz matrix of c = (1, -a, -R S,
+    -R Mp S, ...) for the r-th leading block [[Mp, S], [R, a]], and one
+    product of -R by the Krylov columns Mp^j S gives all of c[2:]."""
+    p = F.p
+    n = M.shape[0]
+    N = -M % p
+    # for i < j, c[i - j] wraps round to an entry past c[n], which stays 0
+    c = np.zeros((2 * n + 2,) + M.shape[2:], dtype=np.int64)
+    c[0] = F.one
+    lag = np.arange(n + 1)[:, None] - np.arange(n)
+    v = c[:2].copy()
+    v[1] = N[0, 0]
+    for r in range(2, n + 1):
+        Mp = M[:r - 1, :r - 1]
+        krylov = [M[:r - 1, r - 1:r]]
+        for _ in range(r - 2):
+            krylov.append(_matmul(F, Mp, krylov[-1]))
+        c[1] = N[r - 1, r - 1]
+        c[2:r + 1] = _matmul(F, N[r - 1:r, :r - 1],
+                             np.concatenate(krylov, axis=1))[0]
+        v = _matmul(F, c[lag[:r + 1, :r]], v[:, None])[:, 0]
+    return v[::-1]
 
 
 def identity(F, n):
-    return tuple(tuple(F.one if i == j else F.zero for j in range(n))
-                 for i in range(n))
+    zero = (F.zero,) * n
+    return tuple(zero[:i] + (F.one,) + zero[i + 1:] for i in range(n))
 
 
 def zeros(F, r, c):
@@ -93,8 +167,6 @@ def zeros(F, r, c):
 
 
 def transpose(A):
-    if not A:
-        return ()
     return tuple(zip(*A))
 
 
@@ -117,25 +189,15 @@ def mat_scale(F, c, A):
 
 
 def mat_mul(F, A, B):
-    if not A or not B:
-        return ()
-    if F.prime:
-        return _from_np(_to_np(A) @ _to_np(B) % F.p)
-    if F.red_rows is not None:
-        return _from_planes(_plane_matmul(F, _to_planes(F, A),
-                                          _to_planes(F, B)))
+    if A and B and _on_arrays(F):
+        return _tuples(F, _matmul(F, _array(F, A), _array(F, B)))
     return ring_mat_mul(F, A, B)
 
 
 def mat_vec(F, A, v):
-    if not A:
-        return ()
-    if F.prime:
-        return tuple((_to_np(A) @ np.array(v, dtype=np.int64) % F.p).tolist())
-    if F.red_rows is not None:
-        col = np.array(v, dtype=np.int64).reshape(len(v), 1, F.deg)
-        return tuple(map(tuple, _plane_matmul(
-            F, _to_planes(F, A), col)[:, 0].tolist()))
+    if A and _on_arrays(F):
+        col = np.array(v, dtype=np.int64)[:, None]
+        return _tuples(F, _matmul(F, _array(F, A), col)[None, :, 0])[0]
     return tuple(vec_dot(F, row, v) for row in A)
 
 
@@ -177,64 +239,15 @@ def submatrix(A, rows, cols):
     return tuple(tuple(A[i][j] for j in cols) for i in rows)
 
 
-def _rref_np(A, p):
-    M = _to_np(A) % p
-    nr, nc = M.shape
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        M[r] = M[r] * pow(int(M[r, c]), p - 2, p) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        M = (M - np.outer(col, M[r])) % p
-        pivots.append(c)
-        r += 1
-    return _from_np(M), tuple(pivots)
-
-
-def _rref_planes(F, A):
-    M = _to_planes(F, A)
-    nr, nc, _ = M.shape
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = np.nonzero(M[r:, c].any(axis=1))[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        # columns left of c are zero in row r
-        inv = np.array(F.inv(tuple(M[r, c].tolist())), dtype=np.int64)
-        M[r, c:] = _plane_mul(F, M[r, c:], inv)
-        col = M[:, c].copy()
-        col[r] = 0
-        M[:, c:] = (M[:, c:] - _plane_mul(F, col[:, None], M[r, c:])) % F.p
-        pivots.append(c)
-        r += 1
-    return _from_planes(M), tuple(pivots)
-
-
 def rref(F, A):
     """Reduced row echelon form and pivot columns; canonical.  Pivots
     are units, so over a local ring a column with no unit left is
     skipped."""
     if not A:
         return (), ()
-    if F.prime:
-        return _rref_np(A, F.p)
-    if F.red_rows is not None:
-        return _rref_planes(F, A)
+    if _on_arrays(F):
+        R, pivots = _rref_array(F, _array(F, A))
+        return _tuples(F, R), pivots
     rows = [list(r) for r in A]
     nr, nc = len(rows), len(rows[0])
     pivots = []
@@ -265,8 +278,7 @@ def rank(F, A):
 def nullspace(F, A, ncols=None):
     """Canonical kernel basis (one vector per free column, ascending)."""
     if not A:
-        n = ncols or 0
-        return tuple(identity(F, n))
+        return identity(F, ncols or 0)
     R, pivots = rref(F, A)
     nc = len(A[0])
     pivset = set(pivots)
@@ -353,11 +365,9 @@ def berkowitz(ring, A):
         return (ring.one,)
     v = [ring.one, ring.neg(A[0][0])]
     for r in range(2, n + 1):
-        a = A[r - 1][r - 1]
         R = A[r - 1][:r - 1]
-        S = [A[i][r - 1] for i in range(r - 1)]
-        c = [ring.one, ring.neg(a)]
-        w = list(S)
+        c = [ring.one, ring.neg(A[r - 1][r - 1])]
+        w = [A[i][r - 1] for i in range(r - 1)]
         for j in range(2, r + 1):
             c.append(ring.neg(vec_dot(ring, R, w)))
             if j < r:
@@ -372,60 +382,10 @@ def berkowitz(ring, A):
     return tuple(reversed(v))
 
 
-def _berkowitz_np(A, p):
-    M = _to_np(A) % p
-    n = M.shape[0]
-    v = np.array([1, (-int(M[0, 0])) % p], dtype=np.int64)
-    for r in range(2, n + 1):
-        a = int(M[r - 1, r - 1])
-        R = M[r - 1, :r - 1]
-        S = M[:r - 1, r - 1].copy()
-        Mp = M[:r - 1, :r - 1]
-        c = np.zeros(r + 1, dtype=np.int64)
-        c[0] = 1
-        c[1] = (-a) % p
-        w = S
-        for j in range(2, r + 1):
-            c[j] = (-int(R @ w)) % p
-            if j < r:
-                w = Mp @ w % p
-        v = np.convolve(c, v)[:r + 1] % p
-    return tuple(int(x) for x in reversed(v))
-
-
-def _berkowitz_planes(F, A):
-    p, k = F.p, F.deg
-    M = _to_planes(F, A)
-    n = M.shape[0]
-    one = np.eye(1, k, dtype=np.int64)[0]
-    v = np.array([one, (-M[0, 0]) % p])
-    for r in range(2, n + 1):
-        R = M[r - 1, :r - 1][None]
-        Mp = M[:r - 1, :r - 1]
-        c = np.zeros((r + 1, k), dtype=np.int64)
-        c[0] = one
-        c[1] = (-M[r - 1, r - 1]) % p
-        w = M[:r - 1, r - 1][:, None]
-        for j in range(2, r + 1):
-            c[j] = (-_plane_matmul(F, R, w)[0, 0]) % p
-            if j < r:
-                w = _plane_matmul(F, Mp, w)
-        # the product c v truncated to degree r, as the lower-triangular
-        # Toeplitz matrix of c times v
-        lag = np.arange(r + 1)[:, None] - np.arange(r)[None, :]
-        T = np.where((lag >= 0)[..., None], c[np.maximum(lag, 0)], 0)
-        v = _plane_matmul(F, T, v[:, None])[:, 0]
-    return tuple(map(tuple, reversed(v.tolist())))
-
-
 def charpoly(F, A):
     """Monic characteristic polynomial det(xI - A), constant term first."""
-    if len(A) == 0:
-        return (F.one,)
-    if F.prime:
-        return _berkowitz_np(A, F.p)
-    if F.red_rows is not None:
-        return _berkowitz_planes(F, A)
+    if A and _on_arrays(F):
+        return _tuples(F, _berkowitz_array(F, _array(F, A))[None])[0]
     return berkowitz(F, A)
 
 

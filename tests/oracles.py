@@ -3,8 +3,9 @@ and local-ring elements by enumeration, modular powers of polynomials by
 square and multiply, the companion matrix, pointwise evaluation of forms
 and pencils, the Moebius action of a homography on a point, place data
 read straight off the characteristic form, the exhaustive PGL_2 sweep for
-the homographies relating two binary forms, and loop versions of the
-extension-field product and the matrix product."""
+the homographies relating two binary forms, loop versions of the
+extension-field product and the matrix product, and the number of
+congruence classes of pencils over F_p by Burnside's lemma."""
 
 import itertools
 
@@ -267,3 +268,53 @@ def candidate_pool(F, da, db):
     of B: homographies carrying the places of B onto those of A."""
     return _candidate_pool(F, _signature_of_descriptor(F, db),
                            _signature_of_descriptor(F, da))
+
+
+def symmetric_matrices(p, n):
+    """Every symmetric n x n matrix over F_p, as tuples of int rows."""
+    coords = [(i, j) for i in range(n) for j in range(i, n)]
+    for values in itertools.product(range(p), repeat=len(coords)):
+        M = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(coords, values):
+            M[i][j] = M[j][i] = x
+        yield tuple(map(tuple, M))
+
+
+def _rank_mod_p(rows, p):
+    """Rank of an int matrix over F_p, by elimination on lists."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def pencil_orbit_count(p, n):
+    """Number of orbits of GL_n(F_p) acting by congruence on pencils of
+    symmetric n x n matrices, by Burnside's lemma: the mean over S of
+    p^(2 dim Fix S), Fix S being the subspace of Sym_n fixed by
+    B -> tS B S.  On the N = n(n+1)/2 coordinates B[i][j], i <= j,
+    that map is the matrix M_S, so dim Fix S = N - rank(M_S - I).  No
+    orbit is enumerated and no package code runs."""
+    coords = [(i, j) for i in range(n) for j in range(i, n)]
+    total = order = 0
+    for values in itertools.product(range(p), repeat=n * n):
+        S = [values[i * n:(i + 1) * n] for i in range(n)]
+        if _rank_mod_p(S, p) < n:
+            continue
+        order += 1
+        # row (i, j), column (a, b): entry (i, j) of tS B S for the basis
+        # form B with B[a][b] = B[b][a] = 1
+        shifted = [[S[a][i] * S[b][j] + (S[b][i] * S[a][j] if a != b else 0)
+                    - ((i, j) == (a, b)) for a, b in coords]
+                   for i, j in coords]
+        total += p ** (2 * (len(coords) - _rank_mod_p(shifted, p)))
+    return total // order

@@ -175,7 +175,7 @@ def test_greedy_extend_completes_basis():
     repeats, combinations of the base and several vectors of one plane.
     A dependent base raises ValueError."""
     fields = [make_field(7), make_field(101), make_field(3, 2),
-              make_field(5, 2), _plane_and_tower_fields()[-1]]
+              make_field(5, 2), _array_and_tower_fields()[-1]]
     for F in fields:
         rng = random.Random(27)
         for _ in range(20):
@@ -197,11 +197,13 @@ def test_greedy_extend_completes_basis():
                     la.greedy_extend(F, base + (dep,), cands)
 
 
-def _plane_and_tower_fields():
-    """Absolute extensions, which take the coefficient-plane kernels, and
-    a tower over GF(9), which takes the generic path."""
+def _array_and_tower_fields():
+    """Prime fields up to the largest prime the fields accept and absolute
+    extensions, which take the element-array kernels, and a tower over
+    GF(9), which takes the generic path."""
     out = [make_field(p, k) for p, k in
-           ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (5, 3))]
+           ((2, 1), (3, 1), (101, 1), (65521, 1), (2, 2), (2, 3), (3, 2),
+            (5, 2), (3, 3), (5, 3))]
     F9 = make_field(3, 2)
     return out + [F9.extension(canonical_modulus(F9, 2))]
 
@@ -221,7 +223,7 @@ def _test_matrices(F, rng):
     yield _rand_mat(F, rng, n, 1)
 
 
-@pytest.mark.parametrize("F", _plane_and_tower_fields(), ids=repr)
+@pytest.mark.parametrize("F", _array_and_tower_fields(), ids=repr)
 def test_products_match_the_triple_loop(F):
     rng = random.Random(40)
     for A in _test_matrices(F, rng):
@@ -235,7 +237,7 @@ def test_products_match_the_triple_loop(F):
     assert la.mat_vec(F, (), ()) == ()
 
 
-@pytest.mark.parametrize("F", _plane_and_tower_fields(), ids=repr)
+@pytest.mark.parametrize("F", _array_and_tower_fields(), ids=repr)
 def test_elimination_matches_the_generic_path(F):
     """rref, nullspace, inv, mat_solve and charpoly against the generic
     element loop (F as the local ring F[pi]/(pi)) and their defining
@@ -282,16 +284,17 @@ def test_elimination_matches_the_generic_path(F):
 
 
 def test_extension_fields_never_take_the_element_loop(monkeypatch):
-    """While ip1s_solve and canonicalize run over GF(9) and GF(25), no
-    absolute extension reaches the generic vec_dot (products, mat_vec,
-    charpoly) or picks a pivot with is_unit (rref and everything built
-    on it), so none falls back silently from the coefficient planes."""
+    """While ip1s_solve runs over F_7 and GF(9) and canonicalize over
+    F_101 and GF(25), no prime field or absolute extension reaches the
+    generic vec_dot (products, mat_vec, charpoly) or picks a pivot with
+    is_unit (rref and everything built on it), so none falls back
+    silently from the element arrays."""
     calls = []
 
     def counting(name, fn):
         def wrapper(F, *args):
-            if (isinstance(F, FiniteField) and not F.prime
-                    and F.base.prime and F.deg >= 2):
+            if isinstance(F, FiniteField) and (
+                    F.prime or F.base.prime and F.deg >= 2):
                 calls.append((name, F))
             return fn(F, *args)
         return wrapper
@@ -309,4 +312,11 @@ def test_extension_fields_never_take_the_element_loop(monkeypatch):
     assert ip1s_solve(A, B) is not None
     F25 = make_field(5, 2)
     canonicalize(sp.rand_regular_pencil(F25, rng, 8))
+    F7 = make_field(7)
+    blocks = ((INF, 1, False), ((3, 1), 2, True),
+              (canonical_modulus(F7, 2), 1, False))
+    A, _ = sp.planted_pencil(F7, rng, (1,), blocks)
+    B = apply_congruence(A, sp.rand_invertible(F7, rng, A.n))
+    assert ip1s_solve(A, B) is not None
+    canonicalize(sp.rand_regular_pencil(make_field(101), rng, 8))
     assert calls == []

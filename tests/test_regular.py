@@ -19,7 +19,8 @@ from quadpencil.regular import (canonicalize, canonical_local_block,
                                 ip1s_solve, emit_descriptor,
                                 _trace_dual_inverse)
 
-from oracles import companion_matrix, ring_rand
+from oracles import (companion_matrix, pencil_orbit_count, ring_rand,
+                     symmetric_matrices)
 
 
 def test_linear_place_block_oracle():
@@ -178,6 +179,24 @@ def test_canonicalize_idempotent_and_invariant():
             assert descriptor_key(d3) == descriptor_key(d1)
             assert d3.canonical.b_inf == d1.canonical.b_inf
             assert d3.canonical.b_0 == d1.canonical.b_0
+
+
+@pytest.mark.parametrize("p,n,orbits", [(3, 0, 1), (3, 1, 9), (3, 2, 55),
+                                        (5, 1, 13), (7, 1, 17), (11, 1, 25)])
+def test_canonicalize_counts_every_congruence_class(p, n, orbits):
+    """Over every pencil on F_p^n, the distinct descriptors are exactly
+    as many as the GL_n orbits that Burnside's lemma counts.  Equal
+    descriptors already mean congruent pencils, since canonicalize checks
+    that its transform carries P exactly onto the canonical pencil of
+    the descriptor; so equal counts mean that congruent pencils never
+    get different descriptors, and the descriptor is a complete
+    invariant for these p and n."""
+    assert pencil_orbit_count(p, n) == orbits
+    F = make_field(p)
+    keys = {descriptor_key(canonicalize(Pencil.make(F, b_inf, b_0)))
+            for b_inf in symmetric_matrices(p, n)
+            for b_0 in symmetric_matrices(p, n)}
+    assert len(keys) == orbits
 
 
 def _fprime_at_root(F, f):
