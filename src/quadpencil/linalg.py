@@ -1,9 +1,10 @@
 """Exact linear algebra over field and ring contexts.
 
 Matrices are tuples of row tuples of elements; vectors are tuples.  The
-products, `rref` (and through it `rank`, `nullspace`, `mat_solve`, `inv`,
-`span_basis` and `greedy_extend`), `mat_vec` and `charpoly` take one of
-two paths, chosen by the context:
+products, `congruent`, `mat_pow`, `mat_poly_eval`, `rref` (and through it
+`rank`, `nullspace`, `mat_solve`, `inv`, `span_basis` and
+`greedy_extend`), `mat_vec` and `charpoly` take one of two paths, chosen
+by the context:
 
 * finite fields F_p and GF(p^k) run numpy int64 kernels on element
   arrays, of shape (r, c) over F_p and (r, c, k) over GF(p^k), where an
@@ -15,8 +16,13 @@ two paths, chosen by the context:
 * local rings and towers run one generic element loop driven by the
   context object (`is_unit` picks pivots).
 
-Tuples go to arrays and back once per call.  With p < 2^16 and desk-scale
-n, every intermediate stays below 2^63; `_array` asserts it.
+Each public kernel reads its tuples into arrays and converts its result
+back once, however many products it chains: `congruent` is two products,
+`mat_poly_eval` a Horner loop and `mat_pow` a square and multiply, all on
+arrays.  `rref` delays reduction mod p: each pivot step reduces only the
+pivot column and the pivot row, and the block is reduced once at the end.
+The one bound that keeps every int64 intermediate below 2^63 is asserted
+in `_array`.
 """
 
 from __future__ import annotations
@@ -50,8 +56,12 @@ def _array(F, A):
         r, c, k = len(A), len(A[0]), F.deg
         M = np.fromiter(chain.from_iterable(chain.from_iterable(A)),
                         np.int64, r * c * k).reshape(r, c, k)
-    # No kernel sums more than max(r, c) (2k - 1) < 2 r c k products below
-    # p^2 < 2^32 (fields keep p < 2^16), so every sum stays below 2^63.
+    # Every factor of a product is reduced, and fields keep p < 2^16, so a
+    # product is below p^2 < 2^32.  A matrix product sums fewer than
+    # m (2k - 1) < 2 r c k of them.  rref changes an entry by less than
+    # (2k - 1) p^2 per pivot, so after s pivots it stays below
+    # p + s (2k - 1) p^2 in absolute value, where s (2k - 1) < 2 r c k.
+    # With r c k < 2^30 both stay below 2^63.
     assert M.size < 1 << 30, "element arrays would overflow"
     return M
 
@@ -106,7 +116,10 @@ def _pivot_inverse(F, x):
 def _rref_array(F, M):
     """rref of an element array, in place, and its pivot columns.  A
     pivot row is zero left of its pivot column c, so each step works on
-    M[:, c:] only."""
+    M[:, c:] only.  Reduction mod p is delayed: a step reduces only
+    column c, to find the pivot and the multipliers, and the pivot row
+    before scaling it, so every factor of its products is below p; the
+    rest of the block is reduced once, at the end."""
     p = F.p
     nr, nc = M.shape[:2]
     pivots = []
@@ -115,18 +128,20 @@ def _rref_array(F, M):
         if r == nr:
             break
         X = M[:, c:]
+        X[:, 0] %= p
         nz = X[r:, 0].nonzero()[0]
         if not nz.size:
             continue
         pr = r + int(nz[0])
+        X[pr] %= p
         row = _emul(F, X[pr], _pivot_inverse(F, X[pr, 0])) % p
         if pr != r:
             X[pr] = X[r]
         X -= _emul(F, X[:, :1], row)
-        X %= p
         X[r] = row
         pivots.append(c)
         r += 1
+    M %= p
     return M, tuple(pivots)
 
 
@@ -210,7 +225,12 @@ def vec_dot(F, u, v):
 
 
 def congruent(F, B, S):
-    """Gram matrix after the substitution x -> S x, i.e. tS B S."""
+    """Gram matrix after the substitution x -> S x, i.e. tS B S, as one
+    chain of two products on element arrays, tS a view of S's."""
+    if S and _on_arrays(F):
+        A = _array(F, S)
+        return _tuples(F, _matmul(F, A.swapaxes(0, 1),
+                                  _matmul(F, _array(F, B), A)))
     return mat_mul(F, transpose(S), mat_mul(F, B, S))
 
 
@@ -223,16 +243,16 @@ def hstack(A, B):
 
 
 def block_diag(F, blocks):
-    blocks = [b for b in blocks]
+    """Block-diagonal matrix: each row is zeros, a block row, zeros."""
+    blocks = list(blocks)
     n = sum(len(b) for b in blocks)
-    out = [[F.zero] * n for _ in range(n)]
+    out = []
     off = 0
     for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
+        left, right = (F.zero,) * off, (F.zero,) * (n - off - len(b))
+        out.extend(left + tuple(row) + right for row in b)
         off += len(b)
-    return _freeze(out)
+    return tuple(out)
 
 
 def submatrix(A, rows, cols):
@@ -399,14 +419,30 @@ def det(F, A):
 
 
 def mat_pow(F, M, e):
+    """M^e by square and multiply, on the element array when e > 1."""
+    if e > 1 and M and _on_arrays(F):
+        # with e > 0, power never returns its unit, so none is built
+        return _tuples(F, _poly.power(lambda A, B: _matmul(F, A, B),
+                                      _array(F, M), e, None))
     return _poly.power(lambda A, B: mat_mul(F, A, B), M, e,
                        identity(F, len(M)))
 
 
 def mat_poly_eval(F, f, M):
     """f(M) for a polynomial f (constant first) and square matrix M, by
-    Horner's rule with each coefficient added on the diagonal."""
+    Horner's rule with each coefficient added on the diagonal.  On an
+    element array it starts from f_d M + f_{d-1} I, so that no product
+    is spent on f_d I, and M is read and the result converted once."""
     n = len(M)
+    if len(f) > 1 and n and _on_arrays(F):
+        A = _array(F, M)
+        diag = np.arange(n)
+        acc = _emul(F, A, np.asarray(f[-1])) % F.p
+        for i, c in enumerate(reversed(f[:-1])):
+            if i:
+                acc = _matmul(F, acc, A)
+            acc[diag, diag] = (acc[diag, diag] + c) % F.p
+        return _tuples(F, acc)
     if not f:
         return zeros(F, n, n)
     acc = _add_diagonal(F, zeros(F, n, n), f[-1])

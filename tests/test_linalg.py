@@ -283,6 +283,115 @@ def test_elimination_matches_the_generic_path(F):
     assert la.charpoly(F, ()) == (F.one,)
 
 
+def _entries(F, M):
+    """Every integer of a matrix or vector family: its elements over F_p,
+    their coefficients over GF(p^k)."""
+    for row in M:
+        for x in row:
+            yield from ((x,) if F.prime else x)
+
+
+def _edge_matrices(F, rng, big):
+    """Random, rank-deficient, all-(p - 1), tall and wide matrices of up
+    to big x 2 big, and a wide one whose rows all pivot before its last
+    column, so that elimination stops early."""
+    top = F.p - 1 if F.prime else (F.p - 1,) * F.deg
+    yield _rand_mat(F, rng, big, 2 * big)
+    yield _rand_mat(F, rng, 2 * big, big)
+    yield _rand_mat(F, rng, big, big)
+    s = big // 3
+    yield mat_mul_by_loops(F, _rand_mat(F, rng, big, s),
+                           _rand_mat(F, rng, s, big + 1))
+    yield tuple((top,) * big for _ in range(big))
+    yield tuple((top,) * (big + 3) for _ in range(big // 2))
+    yield tuple(a + b for a, b in zip(_rand_inv(F, rng, big),
+                                      _rand_mat(F, rng, big, 3)))
+
+
+@pytest.mark.parametrize("p,deg,big", [(65521, 1, 40), (65521, 2, 20),
+                                       (65521, 8, 10)])
+def test_elimination_at_the_overflow_edge(p, deg, big):
+    """With the largest prime the fields accept, the rref kernel, which
+    reduces mod p only the pivot column and row at each step, agrees with
+    the generic element loop on rref and its pivots, nullspace, inv and
+    mat_solve, and returns every entry in [0, p)."""
+    F = make_field(p, deg)
+    rng = random.Random(43)
+    for A in _edge_matrices(F, rng, big):
+        r, c = len(A), len(A[0])
+        G, AG = as_generic(F, A)
+        got = [la.rref(F, A), la.nullspace(F, A)]
+        want = [la.rref(G, AG), la.nullspace(G, AG)]
+        B = _rand_mat(F, rng, r, 2)
+        got.append(la.mat_solve(F, A, B))
+        want.append(la.mat_solve(G, AG, as_generic(F, B)[1]))
+        if r == c:
+            got.append(la.inv(F, A))
+            want.append(la.inv(G, AG))
+        R, pivots = got[0]
+        assert pivots == want[0][1]
+        assert R == from_generic(want[0][0])
+        for X, XG in zip(got[1:], want[1:]):
+            assert X == (None if XG is None else from_generic(XG))
+        for X in [R] + got[1:]:
+            assert all(0 <= x < p for x in _entries(F, X or ()))
+
+
+def _elem(F, rng):
+    return ring_rand(F, rng) if isinstance(F, LocalRing) else F.rand(rng)
+
+
+def _rand_over(F, rng, r, c):
+    return tuple(tuple(_elem(F, rng) for _ in range(c)) for _ in range(r))
+
+
+def _horner_by_loops(F, f, M):
+    """f(M) by Horner's rule, one field operation at a time."""
+    n = len(M)
+    acc = la.zeros(F, n, n)
+    for c in reversed(f):
+        acc = mat_mul_by_loops(F, acc, M)
+        acc = tuple(row[:i] + (F.add(row[i], c),) + row[i + 1:]
+                    for i, row in enumerate(acc))
+    return acc
+
+
+def _ring_fields():
+    """F_3, F_101, GF(9) and GF(25), which take the element arrays, a
+    tower over GF(9) and the local ring GF(9)[pi]/(pi^2), which take the
+    generic path."""
+    F9 = make_field(3, 2)
+    return [make_field(3), make_field(101), F9, make_field(5, 2),
+            F9.extension(canonical_modulus(F9, 2)), LocalRing(F9, 2)]
+
+
+@pytest.mark.parametrize("F", _ring_fields(), ids=repr)
+def test_matrix_polynomials_and_congruence_match_loops(F):
+    """mat_poly_eval on the zero polynomial, a constant and non-monic
+    polynomials of degree 1 to 5, mat_pow for exponents 0 to 5 and
+    congruent for n x 1, n x n, 1 x 1 and empty S, against loops."""
+    rng = random.Random(44)
+    for n in range(6):
+        M = _rand_over(F, rng, n, n)
+        polys = [(), (_elem(F, rng),)]
+        for d in range(1, 6):
+            lead = _elem(F, rng)
+            while lead in (F.zero, F.one):
+                lead = _elem(F, rng)
+            polys.append(tuple(_elem(F, rng) for _ in range(d)) + (lead,))
+        for f in polys:
+            assert la.mat_poly_eval(F, f, M) == _horner_by_loops(F, f, M)
+        power = la.identity(F, n)
+        for e in range(6):
+            assert la.mat_pow(F, M, e) == power
+            power = mat_mul_by_loops(F, power, M)
+        for k in sorted({0, 1, n}):
+            S = _rand_over(F, rng, n, k)
+            want = mat_mul_by_loops(F, la.transpose(S),
+                                    mat_mul_by_loops(F, M, S))
+            assert la.congruent(F, M, S) == want
+
+
 def test_extension_fields_never_take_the_element_loop(monkeypatch):
     """While ip1s_solve runs over F_7 and GF(9) and canonicalize over
     F_101 and GF(25), no prime field or absolute extension reaches the
