@@ -16,9 +16,9 @@ extensions multiply by schoolbook convolution (an absolute one of degree
 >= 3 by one np.convolve and the rows below), raise to powers by square
 and multiply, and invert by `poly.poly_xgcd`, which runs on int lists
 when the base is prime.  Every absolute extension of degree >= 2
-carries `red_rows`, the rows x^t mod f for t < 2k - 1 that reduce a
-product's convolution (`poly.reduction_rows`), which the element-array
-matrix kernels of `linalg` share.
+carries `red_rows`, the rows x^t mod f for t < 2k - 1: they reduce a
+product's convolution, and row a of the matrix of multiplication by b,
+which `linalg` multiplies by, is b times rows a to a + k - 1.
 
 `field_sqrt` is Tonelli-Shanks with one exponentiation per root: the
 field caches q - 1 = 2^s t and z^t for its first non-square z, and a

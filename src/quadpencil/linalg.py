@@ -8,11 +8,11 @@ by the context:
 
 * finite fields F_p and GF(p^k) run numpy int64 kernels on element
   arrays, of shape (r, c) over F_p and (r, c, k) over GF(p^k), where an
-  element is its k coefficient planes.  Each kernel is written once
-  against an elementwise product `_emul` and a matrix product
-  `_matmul`.  Over F_p these are int64 products mod p; over GF(p^k) the
-  products of the planes of two factors sum into 2k - 1 convolution
-  planes, which the field's `red_rows`, the rows x^t mod f, reduce;
+  element is its k coefficients.  Each kernel is written once against
+  an elementwise product `_emul` and a matrix product `_matmul`.  Over
+  F_p these are int64 products; over GF(p^k) each is one int64 matmul
+  by the F_p-matrices of multiplication by the entries of one factor,
+  read off the field's `red_rows`, the rows x^t mod f;
 * local rings and towers run one generic element loop driven by the
   context object (`is_unit` picks pivots).
 
@@ -57,11 +57,10 @@ def _array(F, A):
         M = np.fromiter(chain.from_iterable(chain.from_iterable(A)),
                         np.int64, r * c * k).reshape(r, c, k)
     # Every factor of a product is reduced, and fields keep p < 2^16, so a
-    # product is below p^2 < 2^32.  A matrix product sums fewer than
-    # m (2k - 1) < 2 r c k of them.  rref changes an entry by less than
-    # (2k - 1) p^2 per pivot, so after s pivots it stays below
-    # p + s (2k - 1) p^2 in absolute value, where s (2k - 1) < 2 r c k.
-    # With r c k < 2^30 both stay below 2^63.
+    # matrix product, a sum of m k products, stays below m k p^2.  rref
+    # moves an entry by less than k p^2 per pivot, so after s pivots it
+    # stays below p + s k p^2 in absolute value.  m k and s k are below
+    # r c k < 2^30, so both stay below 2^62.
     assert M.size < 1 << 30, "element arrays would overflow"
     return M
 
@@ -74,43 +73,38 @@ def _tuples(F, M):
     return tuple(tuple(map(tuple, row)) for row in rows)
 
 
-def _convolve(prods):
-    """Sums over i + j = t, t < 2k - 1, of products (..., k, k) indexed
-    [..., i, j]: row i is laid out with stride 2k and read back with
-    stride 2k - 1, which shifts it right by i."""
-    lead, k = prods.shape[:-2], prods.shape[-1]
-    rows = np.zeros(lead + (k, 2 * k), dtype=np.int64)
-    rows[..., :k] = prods
-    flat = rows.reshape(lead + (2 * k * k,))[..., :k * (2 * k - 1)]
-    return flat.reshape(lead + (k, 2 * k - 1)).sum(axis=-2)
+def _mulmats(F, b):
+    """Reduced multiplication matrices of the elements of an (n, k) array
+    b over GF(p^k), as a (k, n, k) array: [a, i] is row a of M_b for
+    b = b[i], x^a b mod f, that is b times the rows red_rows[a:a + k],
+    so that a b = a @ M_b.  Those rows, for every a, are one strided
+    view of red_rows, so no k^3 table is built or kept."""
+    R, k = F.red_rows, F.deg
+    rows = np.ndarray((k, k, k), R.dtype, R, 0, R.strides[:1] + R.strides)
+    return b @ rows % F.p
 
 
 def _emul(F, a, b):
-    """Elementwise product of two broadcastable element arrays, congruent
-    mod p to the reduced one, with entries below (2k - 1) p^2."""
+    """a * b, broadcast as over F_p, for b one element or a row that a
+    meets on an axis of length 1 (a column and a row give their outer
+    product); congruent mod p to the reduced one, entries below k p^2."""
     if F.prime:
         return a * b
-    return _convolve(a[..., :, None] * b[..., None, :]) % F.p @ F.red_rows
+    k = F.deg
+    Mb = _mulmats(F, b.reshape(-1, k)).reshape(k, -1)
+    return (a @ Mb).reshape(a.shape[:-2] + (-1, k))
 
 
 def _matmul(F, A, B):
-    """Reduced matrix product of element arrays.  Over GF(p^k) one int64
-    matmul gives every product of a plane of A with a plane of B, and
-    the products of equal degree sum into 2k - 1 convolution planes."""
+    """Reduced matrix product of element arrays: over GF(p^k), A as an
+    (r, m k) matrix times the multiplication matrices of B as one
+    (m k, c k) matrix."""
     if F.prime:
         return A @ B % F.p
-    r, m, k = A.shape
-    c = B.shape[1]
-    P = (A.transpose(0, 2, 1).reshape(r * k, m)
-         @ B.reshape(m, c * k)).reshape(r, k, c, k)
-    return _convolve(P.transpose(0, 2, 1, 3)) % F.p @ F.red_rows % F.p
-
-
-def _pivot_inverse(F, x):
-    """Inverse of a nonzero element x of an array, as an array element."""
-    if F.prime:
-        return pow(int(x), F.p - 2, F.p)
-    return np.array(F.inv(tuple(x.tolist())), dtype=np.int64)
+    (r, m, k), c = A.shape, B.shape[1]
+    MB = _mulmats(F, B.reshape(-1, k)).reshape(k, m, c * k).swapaxes(0, 1)
+    return (A.reshape(r, m * k) @ MB.reshape(m * k, c * k)
+            % F.p).reshape(r, c, k)
 
 
 def _rref_array(F, M):
@@ -134,7 +128,10 @@ def _rref_array(F, M):
             continue
         pr = r + int(nz[0])
         X[pr] %= p
-        row = _emul(F, X[pr], _pivot_inverse(F, X[pr, 0])) % p
+        x = X[pr, 0]
+        inv = (pow(int(x), p - 2, p) if F.prime
+               else np.array(F.inv(tuple(x.tolist())), dtype=np.int64))
+        row = _emul(F, X[pr], inv) % p
         if pr != r:
             X[pr] = X[r]
         X -= _emul(F, X[:, :1], row)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from quadpencil.field import FiniteField, make_field
@@ -9,7 +10,7 @@ from quadpencil import linalg as la
 from quadpencil import sampling as sp
 from quadpencil.localring import LocalRing
 from quadpencil.pencil import INF, apply_congruence
-from quadpencil.poly import canonical_modulus
+from quadpencil.poly import canonical_modulus, is_irreducible
 from quadpencil.regular import canonicalize, ip1s_solve
 
 from oracles import (as_generic, from_generic, mat_mul_by_loops,
@@ -197,15 +198,61 @@ def test_greedy_extend_completes_basis():
                     la.greedy_extend(F, base + (dep,), cands)
 
 
+def _residue_field(p, d):
+    """F_p[x]/f for a random monic irreducible f of degree d, built with
+    `extension` as `canonicalize` builds the residue fields of places."""
+    F, rng = FiniteField(p), random.Random(d)
+    while True:
+        f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+        if is_irreducible(F, f):
+            return F.extension(f)
+
+
 def _array_and_tower_fields():
-    """Prime fields up to the largest prime the fields accept and absolute
-    extensions, which take the element-array kernels, and a tower over
-    GF(9), which takes the generic path."""
+    """Prime fields up to the largest prime the fields accept, absolute
+    extensions and residue fields of degree 13 and 30 over F_101, which
+    take the element-array kernels, and a tower over GF(9), which takes
+    the generic path."""
     out = [make_field(p, k) for p, k in
            ((2, 1), (3, 1), (101, 1), (65521, 1), (2, 2), (2, 3), (3, 2),
             (5, 2), (3, 3), (5, 3))]
+    out += [_residue_field(101, 13), _residue_field(101, 30)]
     F9 = make_field(3, 2)
     return out + [F9.extension(canonical_modulus(F9, 2))]
+
+
+def _by_mulmats(F, a, b):
+    """The products a_i b_i, each as the row a_i times the multiplication
+    matrix the array kernels build for b_i, reduced mod p."""
+    A, B = (np.array(x, dtype=np.int64) for x in (a, b))
+    M = la._mulmats(F, B)
+    return [tuple(x) for x in (np.einsum("na,anj->nj", A, M) % F.p).tolist()]
+
+
+@pytest.mark.parametrize("p,deg", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_multiplication_matrices_of_small_fields(p, deg):
+    """a @ M_b reduced is F.mul(a, b) for every pair, in characteristic 2
+    and odd characteristic."""
+    F = make_field(p, deg)
+    elems = list(F.elements())
+    pairs = [(a, b) for a in elems for b in elems]
+    got = _by_mulmats(F, *zip(*pairs))
+    assert got == [F.mul(a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("p,deg", [(101, 7), (101, 24), (101, 48),
+                                   (65521, 8)])
+def test_multiplication_matrices_of_large_fields(p, deg):
+    """a @ M_b reduced is F.mul(a, b) on random pairs in residue fields of
+    F_101 of the degrees canon-f101 reaches and in GF(65521^8), and
+    every entry of M_b lies in [0, p)."""
+    F = _residue_field(p, deg) if p == 101 else make_field(p, deg)
+    rng = random.Random(45)
+    a = [F.rand(rng) for _ in range(60)] + [F.one, F.zero, (p - 1,) * deg]
+    b = [F.rand(rng) for _ in range(60)] + [(p - 1,) * deg, F.one, F.zero]
+    assert _by_mulmats(F, a, b) == [F.mul(x, y) for x, y in zip(a, b)]
+    M = la._mulmats(F, np.array(b, dtype=np.int64))
+    assert M.min() >= 0 and M.max() < p
 
 
 def _test_matrices(F, rng):
@@ -335,6 +382,45 @@ def test_elimination_at_the_overflow_edge(p, deg, big):
             assert X == (None if XG is None else from_generic(XG))
         for X in [R] + got[1:]:
             assert all(0 <= x < p for x in _entries(F, X or ()))
+
+
+@pytest.mark.parametrize("p,deg,big", [(65521, 1, 40), (65521, 2, 20),
+                                       (65521, 8, 10)])
+def test_products_at_the_overflow_edge(p, deg, big):
+    """With the largest prime the fields accept, every product kernel
+    (mat_mul, mat_vec, congruent, mat_poly_eval, mat_pow and charpoly)
+    agrees with products by loops or the generic Berkowitz on random
+    and all-(p - 1) matrices, and returns every entry in [0, p)."""
+    F = make_field(p, deg)
+    rng = random.Random(46)
+    top = F.p - 1 if F.prime else (F.p - 1,) * F.deg
+    f = tuple(F.rand(rng) for _ in range(3)) + (top,)
+    for M in (_rand_mat(F, rng, big, big), ((top,) * big,) * big):
+        mats, want_mats, vecs, want_vecs = [], [], [], []
+        for A in (_rand_mat(F, rng, big, 2 * big), ((top,) * 2 * big,) * big):
+            for B in (_rand_mat(F, rng, 2 * big, 3), ((top,) * 3,) * 2 * big):
+                mats.append(la.mat_mul(F, A, B))
+                want_mats.append(mat_mul_by_loops(F, A, B))
+                v = tuple(row[0] for row in B)
+                vecs.append(la.mat_vec(F, A, v))
+                want_vecs.append(tuple(x for (x,) in mat_mul_by_loops(
+                    F, A, tuple((x,) for x in v))))
+            mats.append(la.congruent(F, M, A))
+            want_mats.append(mat_mul_by_loops(F, la.transpose(A),
+                                              mat_mul_by_loops(F, M, A)))
+        mats.append(la.mat_poly_eval(F, f, M))
+        want_mats.append(_horner_by_loops(F, f, M))
+        power = M
+        for e in (1, 2, 3):
+            mats.append(la.mat_pow(F, M, e))
+            want_mats.append(power)
+            power = mat_mul_by_loops(F, power, M)
+        vecs.append(la.charpoly(F, M))
+        want_vecs.append(la.berkowitz(F, M))
+        assert mats == want_mats
+        assert vecs == want_vecs
+        for X in mats + [(v,) for v in vecs]:
+            assert all(0 <= x < p for x in _entries(F, X))
 
 
 def _elem(F, rng):
