@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg as _la
-from .pencil import Pencil, apply_congruence, congruent_pencil
+from .pencil import (Pencil, apply_congruence, congruent_pencil,
+                     orthogonal_parts)
 
 
 @dataclass(frozen=True)
@@ -42,12 +43,6 @@ def kh_matrix(F, h):
     return Pencil.make(F, binf, b0)
 
 
-def _principal(P, idx):
-    """The sub-pencil on the coordinates idx."""
-    return Pencil.make(P.ctx, _la.submatrix(P.b_inf, idx, idx),
-                       _la.submatrix(P.b_0, idx, idx))
-
-
 def chain_ok(P, c):
     """All chain identities plus independence and isotropy."""
     F = P.ctx
@@ -55,15 +50,13 @@ def chain_ok(P, c):
     if len(es) != c.h + 1:
         return False
     zero = (F.zero,) * P.n
-    if _la.mat_vec(F, P.b_0, es[0]) != zero:
-        return False
-    if _la.mat_vec(F, P.b_inf, es[-1]) != zero:
+    # both forms are symmetric, so row i of es B is B e_i
+    b0e = _la.mat_mul(F, es, P.b_0)
+    binfe = _la.mat_mul(F, es, P.b_inf)
+    if b0e[0] != zero or binfe[-1] != zero:
         return False
     for i in range(1, c.h + 1):
-        lhs = tuple(F.add(x, y)
-                    for x, y in zip(_la.mat_vec(F, P.b_0, es[i]),
-                                    _la.mat_vec(F, P.b_inf, es[i - 1])))
-        if lhs != zero:
+        if tuple(F.add(x, y) for x, y in zip(b0e[i], binfe[i - 1])) != zero:
             return False
     if _la.rank(F, tuple(es)) != c.h + 1:
         return False
@@ -92,7 +85,7 @@ def minimal_chain(P):
         img = _la.mat_mul(F, P.b_0, _la.transpose(H))
         coeffs = _la.nullspace(F, img)
         if coeffs:
-            u = _la.mat_vec(F, _la.transpose(H), coeffs[0])
+            u = _la.mat_mul(F, coeffs[:1], H)[0]
             return _chain_from_tail(P, history, h, u)
         if h > 0 and len(H) == len(history[h - 1]):
             return None  # fixpoint without isotropic vector: regular
@@ -115,12 +108,12 @@ def _chain_from_tail(P, history, h, u_h):
     F, n = P.ctx, P.n
     us = [u_h]
     for j in range(h, 0, -1):
-        rhs = _la.mat_vec(F, P.b_inf, us[-1])
+        rhs = _la.mat_mul(F, us[-1:], P.b_inf)[0]
         A = _la.mat_mul(F, P.b_0, _la.transpose(history[j - 1]))
         t = _la.solve(F, A, rhs)
         if t is None:
             raise AssertionError("tower back-substitution failed")
-        us.append(_la.mat_vec(F, _la.transpose(history[j - 1]), t))
+        us.append(_la.mat_mul(F, (t,), history[j - 1])[0])
     # us[i] = u_{h-i}; chain e_i = (-1)^(h-i) u_{h-i}
     es = []
     for i in range(h + 1):
@@ -136,39 +129,38 @@ def _chain_from_tail(P, history, h, u_h):
 
 def _split_basis(P, c):
     """Congruence columns (e'_i, f'_j, g_k) with alternating signs so the
-    (e, f) block is exactly K'_h; returns (S, h, m)."""
+    (e, f) block is exactly K'_h; returns (S, m)."""
     F, n, h = P.ctx, P.n, c.h
     es = c.vectors
-    phi = tuple(_la.mat_vec(F, P.b_inf, es[i]) for i in range(h))
-    fs = []
     if h > 0:
-        sol = _la.mat_solve(F, tuple(phi), _la.identity(F, h))
+        # B_inf is symmetric, so row i of es B_inf is B_inf e_i
+        phi = _la.mat_mul(F, es[:h], P.b_inf)
+        sol = _la.mat_solve(F, phi, _la.identity(F, h))
         if sol is None:
             raise AssertionError("chain pairings are degenerate")
-        for j in range(h):
-            fs.append(tuple(sol[i][j] for i in range(n)))
-        eperp = _la.nullspace(F, tuple(phi))
+        fs = _la.transpose(sol)
+        eperp = _la.nullspace(F, phi)
     else:
-        eperp = tuple(_la.identity(F, n))
+        fs, eperp = (), _la.identity(F, n)
     gs = _la.greedy_extend(F, es, eperp)
     m = n - (2 * h + 1)
     if len(gs) != m:
         raise AssertionError("complement has wrong dimension")
-    cols = []
-    for i, e in enumerate(es):
-        cols.append(e if i % 2 == 0 else tuple(F.neg(x) for x in e))
-    for j, f in enumerate(fs):
-        cols.append(f if j % 2 == 0 else tuple(F.neg(x) for x in f))
-    cols.extend(gs)
-    return _la.transpose(cols), h, m
+    cols = [v if i % 2 == 0 else tuple(F.neg(x) for x in v)
+            for vs in (es, fs) for i, v in enumerate(vs)]
+    return _la.transpose(tuple(cols) + gs), m
 
 
-def _staircase_correction(F, T, h, m):
+def _staircase_correction(P, S, h, m):
     """Correction with unit diagonal clearing the (f, g) coupling of the
-    Gram shape [[0, K', 0], [tK', A, C], [0, tC, B']]."""
+    Gram shape [[0, K', 0], [tK', A, C], [0, tC, B']] of P on the columns
+    of S; C and B' are read off the restriction of P to the f and g
+    columns alone."""
+    F = P.ctx
     n = 2 * h + 1 + m
-    fi = range(h + 1, 2 * h + 1)
-    gi = range(2 * h + 1, n)
+    T = congruent_pencil(P, tuple(row[h + 1:] for row in S))
+    fi = range(h)
+    gi = range(h, h + m)
     Cinf = _la.submatrix(T.b_inf, fi, gi)
     C0 = _la.submatrix(T.b_0, fi, gi)
     Binf = _la.submatrix(T.b_inf, gi, gi)
@@ -192,15 +184,13 @@ def _staircase_correction(F, T, h, m):
         z = _la.solve(F, tuple(big), tuple(rhs))
         if z is None:
             raise AssertionError("staircase unsolvable: chain not minimal")
-        zrows = [z[s * m:(s + 1) * m] for s in range(h)]
+        zrows = tuple(z[s * m:(s + 1) * m] for s in range(h))
     else:
-        zrows = [(F.zero,) * m for _ in range(h)]
-    xrows = []
-    for j in range(h):
-        bz = _la.mat_vec(F, Binf, zrows[j])
-        xrows.append(tuple(F.neg(F.add(Cinf[j][k], bz[k])) for k in range(m)))
-    bz = _la.mat_vec(F, B0, zrows[h - 1])
-    xrows.append(tuple(F.neg(F.add(C0[h - 1][k], bz[k])) for k in range(m)))
+        zrows = _la.zeros(F, h, m)
+    # B'_inf and B'_0 are symmetric, so row j of zrows B' is B' z_j
+    bz = _la.mat_mul(F, zrows, Binf) + _la.mat_mul(F, zrows[-1:], B0)
+    xrows = [tuple(F.neg(F.add(x, y)) for x, y in zip(crow, brow))
+             for crow, brow in zip(Cinf + C0[-1:], bz)]
     corr = [list(row) for row in _la.identity(F, n)]
     for i in range(h + 1):
         for k in range(m):
@@ -213,28 +203,22 @@ def _staircase_correction(F, T, h, m):
 
 def split_kronecker(P, c):
     """Congruence isolating the Kronecker module of the chain as an
-    orthogonal direct factor; returns (transform, transformed pencil),
-    the module on the first 2h+1 coordinates."""
-    F, n, h = P.ctx, P.n, c.h
-    S, h, m = _split_basis(P, c)
-    T = congruent_pencil(P, S)
+    orthogonal direct factor.  Returns (S, module, complement): the
+    restrictions of P to the first 2h+1 columns of S, whose (e, *) rows
+    already match K_h, and to the other m columns."""
+    F, h = P.ctx, c.h
+    S, m = _split_basis(P, c)
     if h > 0 and m > 0:
-        corr = _staircase_correction(F, T, h, m)
-        S = _la.mat_mul(F, S, corr)
-        T = congruent_pencil(P, S)
-    khw = 2 * h + 1
+        S = _la.mat_mul(F, S, _staircase_correction(P, S, h, m))
+    parts = orthogonal_parts(P, S, (2 * h + 1, m))
+    if parts is None:
+        raise AssertionError("module coupling not cleared")
+    module, comp = parts
     ref = kh_matrix(F, h)
-    for B, K in ((T.b_inf, ref.b_inf), (T.b_0, ref.b_0)):
-        for i in range(khw):
-            for j in range(khw, n):
-                if B[i][j] != F.zero:
-                    raise AssertionError("module coupling not cleared")
-        # the (e, *) rows must already match K_h exactly
-        for i in range(h + 1):
-            for j in range(khw):
-                if B[i][j] != K[i][j]:
-                    raise AssertionError("module block malformed")
-    return S, T
+    for B, K in ((module.b_inf, ref.b_inf), (module.b_0, ref.b_0)):
+        if B[:h + 1] != K[:h + 1]:
+            raise AssertionError("module block malformed")
+    return S, module, comp
 
 
 def _clear_ff_block(F, T, h):
@@ -297,10 +281,7 @@ def kronecker_decompose(P):
         c = minimal_chain(cur)
         if c is None:
             break
-        S_split, T = split_kronecker(cur, c)
-        khw = 2 * c.h + 1
-        module = _principal(T, range(khw))
-        comp = _principal(T, range(khw, cur.n))
+        S_split, module, comp = split_kronecker(cur, c)
         S_norm = normalize_kronecker(module, c.h)
         step = _la.mat_mul(F, S_split,
                            _la.block_diag(F, [S_norm, _la.identity(F, comp.n)]))

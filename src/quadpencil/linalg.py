@@ -1,10 +1,11 @@
 """Exact linear algebra over field and ring contexts.
 
-Matrices are tuples of row tuples of elements; vectors are tuples.  The
-products, `congruent`, `mat_pow`, `mat_poly_eval`, `rref` (and through it
-`rank`, `nullspace`, `mat_solve`, `inv`, `span_basis` and
-`greedy_extend`), `mat_vec` and `charpoly` take one of two paths, chosen
-by the context:
+Matrices are tuples of row tuples of elements; vectors are tuples, and a
+matrix times a vector is a product with a one-column or one-row matrix.
+The products, `congruent`, `mat_pow`, `mat_poly_eval`, `rref` (and
+through it `rank`, `nullspace`, `mat_solve`, `inv`, `span_basis` and
+`greedy_extend`) and `charpoly` take one of two paths, chosen by the
+context:
 
 * finite fields F_p and GF(p^k) run numpy int64 kernels on element
   arrays, of shape (r, c) over F_p and (r, c, k) over GF(p^k), where an
@@ -204,13 +205,6 @@ def mat_mul(F, A, B):
     if A and B and _on_arrays(F):
         return _tuples(F, _matmul(F, _array(F, A), _array(F, B)))
     return ring_mat_mul(F, A, B)
-
-
-def mat_vec(F, A, v):
-    if A and _on_arrays(F):
-        col = np.array(v, dtype=np.int64)[:, None]
-        return _tuples(F, _matmul(F, _array(F, A), col)[None, :, 0])[0]
-    return tuple(vec_dot(F, row, v) for row in A)
 
 
 def vec_dot(F, u, v):

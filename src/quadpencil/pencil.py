@@ -214,6 +214,25 @@ def congruent_pencil(P, C):
     return Pencil(F, len(binf), binf, _la.congruent(F, P.b_0, C))
 
 
+def orthogonal_parts(P, C, sizes):
+    """Restrictions of P to consecutive column blocks of C of the given
+    sizes, read off one congruence by C; None unless that congruence is
+    block diagonal, i.e. the blocks span subspaces orthogonal for both
+    forms."""
+    F = P.ctx
+    Q = congruent_pencil(P, C)
+    parts, off = [], 0
+    for k in sizes:
+        idx = range(off, off + k)
+        parts.append(Pencil(F, k, _la.submatrix(Q.b_inf, idx, idx),
+                            _la.submatrix(Q.b_0, idx, idx)))
+        off += k
+    if (_la.block_diag(F, [p.b_inf for p in parts]) != Q.b_inf
+            or _la.block_diag(F, [p.b_0 for p in parts]) != Q.b_0):
+        return None
+    return parts
+
+
 def apply_congruence(P, S):
     """Base change x -> S x on both Gram matrices."""
     if not _la.is_invertible(P.ctx, S):

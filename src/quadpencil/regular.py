@@ -20,8 +20,8 @@ from . import localring as _lr
 from . import poly as _poly
 from .field import field_nonsquare, field_sqrt, emit_elem
 from .kronecker import inf_preimage, kh_matrix, kronecker_decompose
-from .pencil import (INF, Pencil, apply_congruence, congruent_pencil,
-                     emit_matrix, verify_ip1s)
+from .pencil import (INF, Pencil, apply_congruence, emit_matrix,
+                     orthogonal_parts, verify_ip1s)
 
 
 # -- primary decomposition ----------------------------------------------
@@ -51,40 +51,22 @@ def infinite_split(P):
         w = nw
         if not grew:
             break
-    rows = tuple(_la.mat_vec(F, P.b_0, v) for v in w)
+    # B_0 is symmetric, so row i of w B_0 is B_0 w_i
+    rows = _la.mat_mul(F, w, P.b_0)
     wp = _la.nullspace(F, rows, ncols=n)
     if len(w) + len(wp) != n:
         raise ValueError("pencil is singular")
     if len(_la.span_basis(F, w + wp)) != n:
         raise ValueError("pencil is singular")
-    if w and _la.rank(F, _la.mat_mul(F, P.b_0, _la.transpose(w))) != len(w):
+    if w and _la.rank(F, rows) != len(w):
         raise ValueError("pencil is singular")
     if wp and _la.rank(F, _la.mat_mul(F, P.b_inf,
                                       _la.transpose(wp))) != len(wp):
         raise ValueError("pencil is singular")
-    parts = _orthogonal_parts(P, (w, wp))
+    parts = orthogonal_parts(P, _la.transpose(w + wp), (len(w), len(wp)))
     if parts is None:
         raise ValueError("pencil is singular")
     return (w, parts[0]), (wp, parts[1])
-
-
-def _orthogonal_parts(P, bases):
-    """Restrictions of P to each basis (a tuple of row vectors), read off
-    one congruence onto the stacked bases; None unless that congruence is
-    block diagonal, i.e. the spans are orthogonal for both forms."""
-    F = P.ctx
-    Q = congruent_pencil(P, _la.transpose(tuple(v for b in bases
-                                                for v in b)))
-    parts, off = [], 0
-    for b in bases:
-        idx = range(off, off + len(b))
-        parts.append(Pencil(F, len(b), _la.submatrix(Q.b_inf, idx, idx),
-                            _la.submatrix(Q.b_0, idx, idx)))
-        off += len(b)
-    if (_la.block_diag(F, [p.b_inf for p in parts]) != Q.b_inf
-            or _la.block_diag(F, [p.b_0 for p in parts]) != Q.b_0):
-        return None
-    return parts
 
 
 def primary_split(P):
@@ -105,7 +87,8 @@ def primary_split(P):
         bases.append(basis)
     if sum(len(b) for b in bases) != P.n:
         raise AssertionError("primary components do not fill the space")
-    parts = _orthogonal_parts(P, bases)
+    parts = orthogonal_parts(P, _la.transpose(sum(bases, ())),
+                             [len(b) for b in bases])
     if parts is None:
         raise AssertionError("primary components not orthogonal")
     return list(zip(factors, bases, parts))
@@ -194,18 +177,22 @@ def local_structure(block, f):
     ell = len(NKp) - 1
     V = [_la.nullspace(K, NKp[j], ncols=m) if j else ()
          for j in range(ell + 1)]
-    chains = []
+    # (mt, the generators of pi-order mt); step j < mt extends V[j - 1]
+    # by their images under N^(mt - j)
+    tops = []
     for j in range(ell, 0, -1):
-        base = list(V[j - 1])
-        for top, mt in chains:
-            base.append(_la.mat_vec(K, NKp[mt - j], top))
-        news = _la.greedy_extend(K, tuple(base), V[j])
-        chains.extend((v, j) for v in news)
-    if sum(j for _, j in chains) != m:
+        base = V[j - 1]
+        for mt, vs in tops:
+            base += _la.transpose(_la.mat_mul(K, NKp[mt - j],
+                                              _la.transpose(vs)))
+        news = _la.greedy_extend(K, base, V[j])
+        if news:
+            tops.append((j, news))
+    orders = tuple(j for j, vs in tops for _ in vs)
+    if sum(orders) != m:
         raise AssertionError("kernel filtration miscounts the module")
     G = _la.mat_mul(F, M, _la.transpose(tuple(
-        tuple(a for comp in top for a in comp) for top, _ in chains)))
-    orders = tuple(j for _, j in chains)
+        tuple(a for comp in v for a in comp) for _, vs in tops for v in vs)))
     return LocalStructure(K, ell, x, pi, _la.transpose(G), orders,
                           _orbit(F, x, pi, G, d, ell))
 
@@ -264,8 +251,10 @@ def descend_bilinear(block, st):
                                    for a in range(d)) for i in range(ell))
                        for t in range(r)) for s in range(r))
     want = _la.congruent(F, block.b_inf, _la.transpose(gens))
-    got = _la.mat_vec(F, tuple(gram[s][t][ell - 1] for s in range(r)
-                               for t in range(r)), tr)
+    # entry s r + t of got is the trace of the top coefficient of gram[s][t]
+    got = _la.mat_mul(F, (tr,), tuple(
+        tuple(gram[s][t][ell - 1][a] for s in range(r) for t in range(r))
+        for a in range(d)))[0]
     for s in range(r):
         for t in range(s, r):
             if gram[s][t] != gram[t][s]:
@@ -285,37 +274,31 @@ def split_free_layers(R, gram, orders):
     layer Gram is regular over R_order.  Raises ValueError when the form
     is not regular on some layer."""
     K, ell = R.K, R.ell
-    r = len(orders)
     if list(orders) != sorted(orders, reverse=True):
         raise ValueError("generator orders must be descending")
-    W = [[R.one if i == j else R.zero for j in range(r)] for i in range(r)]
-    remaining = list(range(r))
+    r, lo = len(orders), 0
+    # the columns of W are the generators lo, lo + 1, ... in the original
+    # ones, each made orthogonal to the layers split off before it
+    W = _la.identity(R, r)
     out = []
-    while remaining:
-        m = orders[remaining[0]]
-        top = [s for s in remaining if orders[s] == m]
-        rest = [s for s in remaining if orders[s] < m]
-        Wt = tuple(tuple(row) for row in W)
-        G = _la.ring_mat_mul(R, _la.transpose(Wt),
-                             _la.ring_mat_mul(R, gram, Wt))
+    while lo < r:
+        m = orders[lo]
+        k = orders.count(m)
+        G = _la.congruent(R, gram, W)
+        X = tuple(tuple(R.retract(R.div_pi(x, ell - m), m) for x in row)
+                  for row in G[:k])
         Rm = _lr.LocalRing(K, m)
-        sub = [[R.retract(R.div_pi(G[s][t], ell - m), m) for t in top]
-               for s in top]
-        Ainv = _la.ring_inv(Rm, tuple(map(tuple, sub)))
+        sub = tuple(row[:k] for row in X)
+        Ainv = _la.ring_inv(Rm, sub)
         if Ainv is None:
             raise ValueError("form is not regular on a free layer")
-        cols = tuple(tuple(W[i][s] for i in range(r)) for s in top)
-        out.append((m, cols, tuple(map(tuple, sub))))
-        if rest:
-            X = tuple(tuple(R.retract(R.div_pi(G[s][v], ell - m), m)
-                            for v in rest) for s in top)
-            C = _la.ring_mat_mul(Rm, Ainv, X)
-            for b, v in enumerate(rest):
-                for a, s in enumerate(top):
-                    cl = R.lift_from(C[a][b])
-                    for i in range(r):
-                        W[i][v] = R.sub(W[i][v], R.mul(W[i][s], cl))
-        remaining = rest
+        out.append((m, _la.transpose(W)[:k], sub))
+        lo += k
+        if lo < r:
+            C = _la.ring_mat_mul(Rm, Ainv, tuple(row[k:] for row in X))
+            W = _la.mat_sub(R, tuple(row[k:] for row in W), _la.ring_mat_mul(
+                R, tuple(row[:k] for row in W),
+                tuple(tuple(map(R.lift_from, row)) for row in C)))
     return out
 
 
@@ -343,28 +326,20 @@ def diagonalize_unit(R, A):
     if K.p == 2:
         raise ValueError("odd characteristic required")
     r = len(A)
+    # G is tracked through the symmetric elimination only: the scalings,
+    # rotations and the swap after it act on the columns Tc of T alone
     G = [list(row) for row in A]
-    T = [[R.one if i == j else R.zero for j in range(r)] for i in range(r)]
+    Tc = [list(col) for col in _la.identity(R, r)]
 
     def col_add(j, k, c):
-        for i in range(r):
-            T[i][j] = R.add(T[i][j], R.mul(T[i][k], c))
+        Tc[j] = [R.add(x, R.mul(y, c)) for x, y in zip(Tc[j], Tc[k])]
         for i in range(r):
             G[i][j] = R.add(G[i][j], R.mul(G[i][k], c))
         for i in range(r):
             G[j][i] = R.add(G[j][i], R.mul(G[k][i], c))
 
-    def col_scale(j, s):
-        for i in range(r):
-            T[i][j] = R.mul(T[i][j], s)
-        for i in range(r):
-            G[i][j] = R.mul(G[i][j], s)
-        for i in range(r):
-            G[j][i] = R.mul(G[j][i], s)
-
     def col_swap(j, k):
-        for i in range(r):
-            T[i][j], T[i][k] = T[i][k], T[i][j]
+        Tc[j], Tc[k] = Tc[k], Tc[j]
         for i in range(r):
             G[i][j], G[i][k] = G[i][k], G[i][j]
         G[j], G[k] = G[k], G[j]
@@ -396,7 +371,8 @@ def diagonalize_unit(R, A):
             if s is None:
                 raise AssertionError("diagonal entry in no square class")
             dpos.append(i)
-        col_scale(i, R.inv(s))
+        si = R.inv(s)
+        Tc[i] = [R.mul(x, si) for x in Tc[i]]
     while len(dpos) >= 2:
         i, j = dpos[0], dpos[1]
         u, v = _two_squares(K)
@@ -404,33 +380,19 @@ def diagonalize_unit(R, A):
         a = R.mul(R.from_field(u), dinv)
         b = R.mul(R.from_field(v), dinv)
         nb = R.neg(b)
-        for rr in range(r):
-            ti, tj = T[rr][i], T[rr][j]
-            T[rr][i] = R.add(R.mul(ti, a), R.mul(tj, b))
-            T[rr][j] = R.add(R.mul(ti, nb), R.mul(tj, a))
-        for rr in range(r):
-            gi, gj = G[rr][i], G[rr][j]
-            G[rr][i] = R.add(R.mul(gi, a), R.mul(gj, b))
-            G[rr][j] = R.add(R.mul(gi, nb), R.mul(gj, a))
-        for cc in range(r):
-            gi, gj = G[i][cc], G[j][cc]
-            G[i][cc] = R.add(R.mul(gi, a), R.mul(gj, b))
-            G[j][cc] = R.add(R.mul(gi, nb), R.mul(gj, a))
+        Tc[i], Tc[j] = ([R.add(R.mul(x, a), R.mul(y, b))
+                         for x, y in zip(Tc[i], Tc[j])],
+                        [R.add(R.mul(x, nb), R.mul(y, a))
+                         for x, y in zip(Tc[i], Tc[j])])
         dpos = dpos[2:]
-    if dpos and dpos[0] != r - 1:
-        col_swap(dpos[0], r - 1)
-        dpos = [r - 1]
-    Tt = tuple(tuple(row) for row in T)
-    flag = "D" if dpos else "1"
-    check = _la.ring_mat_mul(R, _la.transpose(Tt), _la.ring_mat_mul(R, A, Tt))
-    for i in range(r):
-        for j in range(r):
-            want = R.zero
-            if i == j:
-                want = DR if (dpos and i == r - 1) else R.one
-            if check[i][j] != want:
-                raise AssertionError("diagonalization failed to verify")
-    return Tt, flag
+    want = _la.identity(R, r)
+    if dpos:
+        Tc[dpos[0]], Tc[-1] = Tc[-1], Tc[dpos[0]]
+        want = want[:-1] + (want[-1][:-1] + (DR,),)
+    T = _la.transpose(Tc)
+    if _la.congruent(R, A, T) != want:
+        raise AssertionError("diagonalization failed to verify")
+    return T, "D" if dpos else "1"
 
 
 # -- canonical blocks and assembly ---------------------------------------
@@ -575,12 +537,8 @@ def _process_place(block, f, cfull, place):
     R, gram = descend_bilinear(block, st)
     layers = split_free_layers(R, gram, st.orders)
     K, d = st.K, st.K.deg
-    if d >= 2:
-        zeta = (F.zero, F.one) + (F.zero,) * (d - 2)
-    else:
-        zeta = (F.neg(f[0]),)
-    fp = _poly.poly_deriv(F, f)
-    fpz = _poly.poly_eval(K, tuple(K.lift(c) for c in fp), zeta)
+    # f'(zeta) in K = k[x]/f is f' itself, of degree below d
+    fpz = _poly.poly_pad(F, _poly.poly_deriv(F, f), d)
     entries = []
     for m, coeffcols, layer_gram in layers:
         Rm = _lr.LocalRing(K, m)

@@ -62,7 +62,7 @@ def test_nullspace_annihilates():
         ns = la.nullspace(F, M)
         assert len(ns) == c - la.rank(F, M)
         for v in ns:
-            assert la.mat_vec(F, M, v) == (F.zero,) * r
+            assert la.mat_mul(F, M, la.transpose((v,))) == la.zeros(F, r, 1)
         assert la.rank(F, ns) == len(ns) if ns else True
 
 
@@ -74,7 +74,7 @@ def test_solve_property():
         A = _rand_inv(F, rng, n)
         b = tuple(F.rand(rng) for _ in range(n))
         x = la.solve(F, A, b)
-        assert la.mat_vec(F, A, x) == b
+        assert la.mat_mul(F, A, la.transpose((x,))) == la.transpose((b,))
 
 
 def test_det_multiplicative_and_charpoly():
@@ -277,11 +277,12 @@ def test_products_match_the_triple_loop(F):
         for c in range(4):
             B = _rand_mat(F, rng, len(A[0]), c)
             assert la.mat_mul(F, A, B) == mat_mul_by_loops(F, A, B)
-        v = tuple(F.rand(rng) for _ in range(len(A[0])))
-        col = mat_mul_by_loops(F, A, tuple((x,) for x in v))
-        assert la.mat_vec(F, A, v) == tuple(x for (x,) in col)
+        col = tuple((F.rand(rng),) for _ in range(len(A[0])))
+        assert la.mat_mul(F, A, col) == mat_mul_by_loops(F, A, col)
+        row = (tuple(F.rand(rng) for _ in range(len(A))),)
+        assert la.mat_mul(F, row, A) == mat_mul_by_loops(F, row, A)
     assert la.mat_mul(F, (), la.identity(F, 2)) == ()
-    assert la.mat_vec(F, (), ()) == ()
+    assert la.mat_mul(F, (), ()) == ()
 
 
 @pytest.mark.parametrize("F", _array_and_tower_fields(), ids=repr)
@@ -388,9 +389,10 @@ def test_elimination_at_the_overflow_edge(p, deg, big):
                                        (65521, 8, 10)])
 def test_products_at_the_overflow_edge(p, deg, big):
     """With the largest prime the fields accept, every product kernel
-    (mat_mul, mat_vec, congruent, mat_poly_eval, mat_pow and charpoly)
-    agrees with products by loops or the generic Berkowitz on random
-    and all-(p - 1) matrices, and returns every entry in [0, p)."""
+    (mat_mul, with one-column and one-row products, congruent,
+    mat_poly_eval, mat_pow and charpoly) agrees with products by loops
+    or the generic Berkowitz on random and all-(p - 1) matrices, and
+    returns every entry in [0, p)."""
     F = make_field(p, deg)
     rng = random.Random(46)
     top = F.p - 1 if F.prime else (F.p - 1,) * F.deg
@@ -401,10 +403,11 @@ def test_products_at_the_overflow_edge(p, deg, big):
             for B in (_rand_mat(F, rng, 2 * big, 3), ((top,) * 3,) * 2 * big):
                 mats.append(la.mat_mul(F, A, B))
                 want_mats.append(mat_mul_by_loops(F, A, B))
-                v = tuple(row[0] for row in B)
-                vecs.append(la.mat_vec(F, A, v))
-                want_vecs.append(tuple(x for (x,) in mat_mul_by_loops(
-                    F, A, tuple((x,) for x in v))))
+                col = tuple(row[:1] for row in B)
+                mats.append(la.mat_mul(F, A, col))
+                want_mats.append(mat_mul_by_loops(F, A, col))
+                mats.append(la.mat_mul(F, A[:1], B))
+                want_mats.append(mat_mul_by_loops(F, A[:1], B))
             mats.append(la.congruent(F, M, A))
             want_mats.append(mat_mul_by_loops(F, la.transpose(A),
                                               mat_mul_by_loops(F, M, A)))
@@ -481,7 +484,7 @@ def test_matrix_polynomials_and_congruence_match_loops(F):
 def test_extension_fields_never_take_the_element_loop(monkeypatch):
     """While ip1s_solve runs over F_7 and GF(9) and canonicalize over
     F_101 and GF(25), no prime field or absolute extension reaches the
-    generic vec_dot (products, mat_vec, charpoly) or picks a pivot with
+    generic vec_dot (products, charpoly) or picks a pivot with
     is_unit (rref and everything built on it), so none falls back
     silently from the element arrays."""
     calls = []

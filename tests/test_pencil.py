@@ -10,11 +10,11 @@ from quadpencil import sampling as sp
 from quadpencil.ip2s import _image
 from quadpencil.pencil import (Pencil, BinaryForm, Homography, INF,
                                char_poly, twist, apply_congruence,
-                               polarize, quadratic_part, verify_ip1s,
-                               verify_ip2s, parse_pencil, emit_pencil,
-                               parse_solution, emit_solution)
+                               orthogonal_parts, polarize, quadratic_part,
+                               verify_ip1s, verify_ip2s, parse_pencil,
+                               emit_pencil, parse_solution, emit_solution)
 
-from oracles import form_at, mobius, pencil_at
+from oracles import form_at, mat_mul_by_loops, mobius, pencil_at
 
 
 def test_pencil_make_checks():
@@ -172,6 +172,47 @@ def test_verify_ip1s_and_ip2s():
     assert la.congruent(F3, A.b_inf, S) == A.b_inf
     assert not verify_ip1s(A, A, S)
     assert not verify_ip2s(A, A, S, Homography.identity(F3))
+
+
+@pytest.mark.parametrize("p,deg", [(7, 1), (3, 2)])
+def test_orthogonal_parts_reads_off_the_diagonal_blocks(p, deg):
+    """With P the pencil whose congruence by C is block diagonal,
+    orthogonal_parts(P, C, sizes) returns the diagonal blocks, also when C
+    keeps only the columns of the first two blocks; one entry coupling two
+    blocks, in B_inf or in B_0, makes it return None."""
+    F = make_field(p, deg)
+    rng = random.Random(70 + p)
+    for _ in range(10):
+        sizes = [rng.randrange(1, 4) for _ in range(3)]
+        n = sum(sizes)
+        C = sp.rand_invertible(F, rng, n)
+        Ci = la.inv(F, C)
+
+        def pulled(Q):
+            """The pencil whose congruence by C is Q, by loops."""
+            return Pencil.make(F, *(mat_mul_by_loops(
+                F, la.transpose(Ci), mat_mul_by_loops(F, M, Ci))
+                for M in Q))
+
+        blocks = [Pencil.make(F, sp.rand_symmetric(F, rng, k),
+                              sp.rand_symmetric(F, rng, k)) for k in sizes]
+        Q = [la.block_diag(F, [b.b_inf for b in blocks]),
+             la.block_diag(F, [b.b_0 for b in blocks])]
+        P = pulled(Q)
+        assert orthogonal_parts(P, C, sizes) == blocks
+        C2 = tuple(row[:sizes[0] + sizes[1]] for row in C)
+        assert orthogonal_parts(P, C2, sizes[:2]) == blocks[:2]
+        a, b = sorted(rng.sample(range(3), 2))
+        i = sum(sizes[:a]) + rng.randrange(sizes[a])
+        j = sum(sizes[:b]) + rng.randrange(sizes[b])
+        x = F.zero
+        while x == F.zero:
+            x = F.rand(rng)
+        form = rng.randrange(2)
+        M = [list(row) for row in Q[form]]
+        M[i][j] = M[j][i] = x
+        Q[form] = M
+        assert orthogonal_parts(pulled(Q), C, sizes) is None
 
 
 def test_apply_congruence_rejects_singular():

@@ -19,8 +19,8 @@ from quadpencil.regular import (canonicalize, canonical_local_block,
                                 ip1s_solve, emit_descriptor,
                                 _trace_dual_inverse)
 
-from oracles import (companion_matrix, pencil_orbit_count, ring_rand,
-                     symmetric_matrices)
+from oracles import (companion_matrix, mat_mul_by_loops, pencil_orbit_count,
+                     ring_rand, symmetric_matrices)
 
 
 def test_linear_place_block_oracle():
@@ -289,8 +289,9 @@ def test_local_structure_orbit():
                 xpg = pg
                 for i in range(d):
                     want.append((j < order, xpg))
-                    xpg = la.mat_vec(F, st.x, xpg)
-                pg = la.mat_vec(F, st.pi, pg)
+                    xpg = la.transpose(la.mat_mul(
+                        F, st.x, la.transpose((xpg,))))[0]
+                pg = la.transpose(la.mat_mul(F, st.pi, la.transpose((pg,))))[0]
         assert la.transpose(st.orbit) == tuple(v for _, v in want)
         basis = [v for live, v in want if live]
         assert len(basis) == P.n and la.rank(F, basis) == P.n
@@ -403,6 +404,133 @@ def test_diagonalize_unit_ring_case():
             continue
         T, flag = diagonalize_unit(R, A)
         assert (flag == "1") == (ring_sqrt(R, det) is not None)
+
+
+def _congruence_by_loops(R, A, T):
+    """T^t A T by the triple loop, one ring operation at a time."""
+    return mat_mul_by_loops(R, la.transpose(T), mat_mul_by_loops(R, A, T))
+
+
+def _ring_det(R, A):
+    cp = la.berkowitz(R, A)[0]
+    return cp if len(A) % 2 == 0 else R.neg(cp)
+
+
+def _rand_ring_symmetric(R, rng, n, diagonal=None):
+    """Random symmetric matrix over R with unit determinant; diagonal,
+    when given, draws the diagonal entries."""
+    while True:
+        A = [[None] * n for _ in range(n)]
+        for i in range(n):
+            A[i][i] = diagonal() if diagonal else ring_rand(R, rng)
+            for j in range(i + 1, n):
+                A[i][j] = A[j][i] = ring_rand(R, rng)
+        A = tuple(map(tuple, A))
+        if R.is_unit(_ring_det(R, A)):
+            return A
+
+
+def _ring_diag(R, entries):
+    n = len(entries)
+    return tuple(tuple(entries[i] if i == j else R.zero for j in range(n))
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("p,deg,ell", [(5, 1, 1), (5, 1, 2), (3, 2, 1),
+                                       (3, 2, 2)])
+def test_diagonalize_unit_rotations_and_pair_path(p, deg, ell, monkeypatch):
+    """At r = 4..6 over R_1 and R_2: diagonal forms with 2..5 non-square
+    entries, none last, so one rotation per pair and then the swap run;
+    the same forms under a random congruence; and forms with no unit on
+    the diagonal, which take the pair path.  T^t A T, by loops, is the
+    display diag(1, ..., 1, u) with u = Delta exactly when the flag is
+    "D", and the flag is the square class of det A."""
+    K = make_field(p, deg)
+    R = LocalRing(K, ell)
+    delta = field_nonsquare(K)
+    rng = random.Random(90 + p + ell)
+    rotations = []
+    real = regular._two_squares
+    monkeypatch.setattr(regular, "_two_squares",
+                        lambda K: rotations.append(K) or real(K))
+
+    def unit(square):
+        s = K.zero
+        while s == K.zero:
+            s = K.rand(rng)
+        u0 = K.mul(s, s) if square else K.mul(delta, K.mul(s, s))
+        return (u0,) + tuple(K.rand(rng) for _ in range(ell - 1))
+
+    def check(A):
+        T, flag = diagonalize_unit(R, A)
+        r = len(A)
+        last = R.from_field(delta) if flag == "D" else R.one
+        assert _congruence_by_loops(R, A, T) == _ring_diag(
+            R, [R.one] * (r - 1) + [last])
+        assert (flag == "1") == K.is_square(_ring_det(R, A)[0])
+
+    for k in range(2, 6):
+        for r in range(max(4, k + 1), 7):
+            nonsquares = rng.sample(range(r - 1), k)
+            A = _ring_diag(R, [unit(i not in nonsquares) for i in range(r)])
+            rotations.clear()
+            check(A)
+            assert len(rotations) == k // 2
+            U = None
+            while U is None or not R.is_unit(_ring_det(R, U)):
+                U = tuple(tuple(ring_rand(R, rng) for _ in range(r))
+                          for _ in range(r))
+            check(_congruence_by_loops(R, A, U))
+    for r in (4, 5, 6, 4, 5, 6):
+        A = _rand_ring_symmetric(
+            R, rng, r, lambda: (K.zero,) + ring_rand(R, rng)[1:])
+        check(A)
+
+
+@pytest.mark.parametrize("p,deg", [(5, 1), (3, 2)])
+@pytest.mark.parametrize("orders", [(3, 3, 2, 2, 1), (3, 1, 1), (2, 2, 1)])
+def test_split_free_layers_over_r3(p, deg, orders):
+    """gram = U^t D U over R_3, with D block diagonal, pi^(3 - m) A_m on
+    the generators of order m, and U unipotent, coupling each generator
+    only to those of higher order.  The layers come out in order with
+    the planted Grams A_m; by loops, the congruence of gram by the stacked
+    layer columns is block diagonal, each block pi^(3 - m) times the lift
+    of its layer Gram, and the columns form a basis."""
+    K = make_field(p, deg)
+    ell = 3
+    R = LocalRing(K, ell)
+    rng = random.Random(100 + p + len(orders))
+    r = len(orders)
+
+    def scaled(a, m):
+        """pi^(ell - m) times the lift of the R_m element a."""
+        return (K.zero,) * (ell - m) + tuple(a)
+
+    def planted_diag(blocks):
+        n = sum(len(A) for _, A in blocks)
+        D = [[R.zero] * n for _ in range(n)]
+        off = 0
+        for m, A in blocks:
+            for i, row in enumerate(A):
+                for j, x in enumerate(row):
+                    D[off + i][off + j] = scaled(x, m)
+            off += len(A)
+        return tuple(map(tuple, D))
+
+    ms = sorted(set(orders), reverse=True)
+    planted = [(m, _rand_ring_symmetric(LocalRing(K, m), rng,
+                                        orders.count(m))) for m in ms]
+    U = tuple(tuple(R.one if s == t else ring_rand(R, rng)
+                    if orders[s] > orders[t] else R.zero
+                    for t in range(r)) for s in range(r))
+    gram = _congruence_by_loops(R, planted_diag(planted), U)
+    layers = regular.split_free_layers(R, gram, orders)
+    assert [(m, sub) for m, _, sub in layers] == planted
+    W = la.transpose(tuple(c for _, cols, _ in layers for c in cols))
+    assert _congruence_by_loops(R, gram, W) == planted_diag(
+        [(m, sub) for m, _, sub in layers])
+    assert la.is_invertible(K, tuple(tuple(x[0] for x in row)
+                                     for row in W))
 
 
 def test_descriptor_json():
