@@ -9,7 +9,10 @@ of B onto a place of A of the same degree and the same layer ranks (the
 number of free layers of each nilpotency order ell).  A finite candidate
 set is pinned down from these place classes.  A and B are canonicalized
 once; each candidate is checked by carrying A's layers over by g, and
-only the winner's twist is canonicalized, to build S.
+only the winner's twist is canonicalized, to build S.  The candidates
+are PGL_2 representatives; as twist(A, c g) = c twist(A, g) and mu^2 g
+twists A to a pencil congruent to twist(A, g), the pool tried as it is
+and then times one non-square covers all of GL_2.
 
 The transport rule works in F alone.  A place p of degree k of
 twist(A, g), with g(p) = t a place of A, takes the layers (ell, r) of A
@@ -58,7 +61,7 @@ import numpy as np
 
 from . import linalg as _la
 from . import poly as _poly
-from .field import field_sqrt
+from .field import field_nonsquare, field_sqrt
 from .pencil import BinaryForm, Homography, INF, twist
 from .regular import canonical_witness, canonicalize, place_key
 
@@ -327,10 +330,11 @@ def _candidate_pool(F, sig_src, sig_dst):
 def ip2s_solve(A, B):
     """(S, g) with S^t twist(A, g) S = B, or None when no pair exists.
     Among the candidates whose transported layers are those of B the
-    homography with the smallest matrix wins.  Only the winner's twist
-    is canonicalized, to build S; a winner whose canonical key disagrees
-    with its transported layers raises AssertionError.  Candidates come
-    from the regular parts; the final check runs on the full pencils."""
+    homography with the smallest matrix wins, first as they are, then
+    times field_nonsquare(F).  Only the winner's twist is canonicalized,
+    to build S; a winner whose canonical key disagrees with its
+    transported layers raises AssertionError.  Candidates come from the
+    regular parts; the final check runs on the full pencils."""
     if A.ctx != B.ctx or A.n != B.n:
         raise ValueError("pencils live in different spaces")
     F = A.ctx
@@ -344,7 +348,10 @@ def ip2s_solve(A, B):
         S = canonical_witness(A, B, da, db)
         return None if S is None else (S, Homography.identity(F))
     layers_a, layers_b = _layers(da), _layers(db)
-    for g in _candidate_pool(F, sig_b, sig_a):
+    pool = _candidate_pool(F, sig_b, sig_a)
+    nsq = field_nonsquare(F)
+    for g in itertools.chain(pool, (Homography(F, _la.mat_scale(F, nsq, h.m))
+                                    for h in pool)):
         if _twisted_layers(F, layers_a, g) == layers_b:
             At = twist(A, g)
             S = canonical_witness(At, B, canonicalize(At), db)

@@ -4,7 +4,8 @@ to the canonical Kronecker blocks K_h.
 A chain e_0..e_h satisfies B_0 e_0 = 0, B_0 e_i + B_inf e_{i-1} = 0 and
 B_inf e_h = 0.  Splitting one off realizes the 2h+1 dimensional Kronecker
 module as an orthogonal direct factor; iterating strips the whole
-singular part and leaves a regular pencil.
+singular part and leaves a regular pencil, whose stable kernel tower of
+B_inf (its infinite place) the last chain search leaves in the report.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ class KroneckerReport:
     indices: tuple        # minimal indices, ascending
     transform: tuple      # congruence to block-diag(K_h..., regular_part)
     regular_part: Pencil
+    inf_tower: tuple      # stable kernel tower of B_inf on regular_part
 
 
 def kh_matrix(F, h):
@@ -67,53 +69,48 @@ def chain_ok(P, c):
 
 
 def minimal_chain(P):
-    """A minimal isotropic chain, or None when the pencil is regular.
+    """(chain, tower): a minimal isotropic chain, or None when the pencil
+    is regular, and the last level of the walk that looked for it.
 
-    Builds the increasing spaces H_0 = Ker B_inf,
-    H_{j+1} = B_inf^{-1}(B_0 H_j); the minimal index is the first h with
-    H_h meeting Ker B_0, and the chain is recovered by back-substitution
-    down the tower.  Deterministic: canonical kernel bases throughout."""
+    The walk builds H_0 = Ker B_inf, H_{j+1} = B_inf^{-1}(B_0 H_j), each
+    level kept with its image B_0 H_j; the minimal index is the first h
+    with H_h meeting Ker B_0, and the chain is recovered by
+    back-substitution down the tower.  Without one the walk ends at the
+    fixpoint, the stable kernel tower of B_inf: () when B_inf is
+    invertible.  Deterministic: canonical kernel bases throughout."""
     F, n = P.ctx, P.n
-    if n == 0:
-        return None
-    history = []
     H = _la.nullspace(F, P.b_inf, ncols=n)
+    if not H:
+        return None, ()
+    history = []
     while True:
-        history.append(H)
-        h = len(history) - 1
-        # intersection of span(H) with Ker B_0
+        if history and len(H) == len(history[-1][0]):
+            return None, H  # fixpoint without isotropic vector: regular
         img = _la.mat_mul(F, P.b_0, _la.transpose(H))
+        history.append((H, img))
+        # intersection of span(H) with Ker B_0
         coeffs = _la.nullspace(F, img)
         if coeffs:
             u = _la.mat_mul(F, coeffs[:1], H)[0]
-            return _chain_from_tail(P, history, h, u)
-        if h > 0 and len(H) == len(history[h - 1]):
-            return None  # fixpoint without isotropic vector: regular
-        if h > n:
+            return _chain_from_tail(P, history, u), H
+        if len(history) > n:
             raise AssertionError("chain search failed to stabilize")
-        H = inf_preimage(P, img)
+        # the v with B_inf v in the column span of img
+        A = _la.hstack(P.b_inf, _la.mat_neg(F, img))
+        H = _la.span_basis(F, [v[:n] for v in _la.nullspace(F, A)])
 
 
-def inf_preimage(P, img):
-    """Canonical basis, as row vectors, of the v with B_inf v in the
-    column span of img: with img = B_0 H, the step of the kernel towers
-    of minimal_chain and regular.infinite_split."""
+def _chain_from_tail(P, history, u_h):
+    """Chain from a tail u_h in Ker B_0 and the last of the levels."""
     F = P.ctx
-    A = _la.hstack(P.b_inf, _la.mat_neg(F, img))
-    return _la.span_basis(F, [v[:P.n] for v in _la.nullspace(F, A)])
-
-
-def _chain_from_tail(P, history, h, u_h):
-    """Chain from the tail vector u_h in H_h with B_0 u_h = 0."""
-    F, n = P.ctx, P.n
+    h = len(history) - 1
     us = [u_h]
-    for j in range(h, 0, -1):
+    for H, img in history[-2::-1]:
         rhs = _la.mat_mul(F, us[-1:], P.b_inf)[0]
-        A = _la.mat_mul(F, P.b_0, _la.transpose(history[j - 1]))
-        t = _la.solve(F, A, rhs)
+        t = _la.solve(F, img, rhs)
         if t is None:
             raise AssertionError("tower back-substitution failed")
-        us.append(_la.mat_mul(F, (t,), history[j - 1])[0])
+        us.append(_la.mat_mul(F, (t,), H)[0])
     # us[i] = u_{h-i}; chain e_i = (-1)^(h-i) u_{h-i}
     es = []
     for i in range(h + 1):
@@ -270,7 +267,7 @@ def _alternating(F, M):
 
 def kronecker_decompose(P):
     """Strip all Kronecker blocks; returns indices (ascending), the full
-    congruence, and the regular complement."""
+    congruence, and the regular complement with its B_inf tower."""
     F, n = P.ctx, P.n
     if F.p == 2 and not (_alternating(F, P.b_inf) and _alternating(F, P.b_0)):
         raise ValueError("characteristic 2 requires alternating matrices")
@@ -278,7 +275,7 @@ def kronecker_decompose(P):
     indices = []
     cur = P
     while True:
-        c = minimal_chain(cur)
+        c, tower = minimal_chain(cur)
         if c is None:
             break
         S_split, module, comp = split_kronecker(cur, c)
@@ -293,7 +290,7 @@ def kronecker_decompose(P):
     # each chain is minimal, so the indices come out ascending
     if indices != sorted(indices):
         raise AssertionError("Kronecker indices were stripped out of order")
-    report = KroneckerReport(tuple(indices), S_total, cur)
+    report = KroneckerReport(tuple(indices), S_total, cur, tower)
     final = apply_congruence(P, S_total)
     ref = _la.block_diag(F, [kh_matrix(F, h).b_inf for h in indices]
                          + [cur.b_inf])

@@ -19,7 +19,7 @@ from . import linalg as _la
 from . import localring as _lr
 from . import poly as _poly
 from .field import field_nonsquare, field_sqrt, emit_elem
-from .kronecker import inf_preimage, kh_matrix, kronecker_decompose
+from .kronecker import kh_matrix, kronecker_decompose
 from .pencil import (INF, Pencil, apply_congruence, emit_matrix,
                      orthogonal_parts, verify_ip1s)
 
@@ -37,28 +37,19 @@ def char_endomorphism(P):
     return _la.mat_neg(F, _la.mat_mul(F, binv, P.b_0))
 
 
-def infinite_split(P):
-    """Split V = W + W' with W the stable kernel tower of B_inf (the
-    infinite place, B_0 invertible there) and W' its B_0-orthogonal
-    (finite places, B_inf invertible there).  Returns ((basis_w, W),
-    (basis_wp, W')), each basis a tuple of row vectors and each pencil
-    the restriction of P to it.  Raises on singular pencils."""
+def infinite_split(P, w):
+    """Split V = W + W' with W the stable kernel tower w of B_inf that
+    minimal_chain leaves (the infinite place, B_0 invertible there) and
+    W' its B_0-orthogonal (finite places, B_inf invertible there).
+    Returns ((w, W), (basis_wp, W')), each basis a tuple of row vectors
+    and each pencil the restriction of P to it.  Raises on singular
+    pencils."""
     F, n = P.ctx, P.n
-    w = _la.nullspace(F, P.b_inf, ncols=n)
-    while w:
-        nw = inf_preimage(P, _la.mat_mul(F, P.b_0, _la.transpose(w)))
-        grew = len(nw) != len(w)
-        w = nw
-        if not grew:
-            break
     # B_0 is symmetric, so row i of w B_0 is B_0 w_i
-    rows = _la.mat_mul(F, w, P.b_0)
-    wp = _la.nullspace(F, rows, ncols=n)
+    wp = _la.nullspace(F, _la.mat_mul(F, w, P.b_0), ncols=n)
     if len(w) + len(wp) != n:
         raise ValueError("pencil is singular")
     if len(_la.span_basis(F, w + wp)) != n:
-        raise ValueError("pencil is singular")
-    if w and _la.rank(F, rows) != len(w):
         raise ValueError("pencil is singular")
     if wp and _la.rank(F, _la.mat_mul(F, P.b_inf,
                                       _la.transpose(wp))) != len(wp):
@@ -574,7 +565,7 @@ def canonicalize(P):
     reg = kron.regular_part
     entries = []
     if reg.n:
-        (wb, W), (wpb, sub) = infinite_split(reg)
+        (wb, W), (wpb, sub) = infinite_split(reg, kron.inf_tower)
         if wb:
             swapped = Pencil(F, W.n, W.b_0, W.b_inf)
             entries += _process_place(swapped, (F.zero, F.one),

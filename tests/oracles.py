@@ -2,7 +2,8 @@
 and local-ring elements by enumeration, modular powers of polynomials by
 square and multiply, the companion matrix, pointwise evaluation of forms
 and pencils, the Moebius action of a homography on a point, place data
-read straight off the characteristic form, the exhaustive PGL_2 sweep for
+read straight off the characteristic form, the stable kernel tower of
+B_inf by its own fixpoint loop, the exhaustive PGL_2 sweep for
 the homographies relating two binary forms, loop versions of the
 extension-field product and the matrix product, and the number of
 congruence classes of pencils over F_p by Burnside's lemma."""
@@ -206,6 +207,25 @@ def factor_signature(P):
         out.setdefault((d, ranks), []).append(place)
     return {de: tuple(sorted(ps, key=lambda p: place_key(F, p)))
             for de, ps in out.items()}
+
+
+def stable_inf_tower(P):
+    """The stable kernel tower of B_inf by a loop of its own: W_0 =
+    Ker B_inf and W_(j+1) = B_inf^-1(B_0 W_j) until the dimension stops
+    growing, each level in the canonical basis of linalg.span_basis
+    (W_0 in that of linalg.nullspace), and () when B_inf is
+    invertible."""
+    F, n = P.ctx, P.n
+    w = la.nullspace(F, P.b_inf, ncols=n)
+    while w:
+        img = la.mat_mul(F, P.b_0, la.transpose(w))
+        A = la.hstack(P.b_inf, la.mat_neg(F, img))
+        nw = la.span_basis(F, [v[:n] for v in la.nullspace(F, A)])
+        grew = len(nw) != len(w)
+        w = nw
+        if not grew:
+            break
+    return w
 
 
 def mobius(g, x):

@@ -11,8 +11,8 @@ from quadpencil import sampling as sp
 from quadpencil.ip2s import ip2s_solve
 from quadpencil.kronecker import kh_matrix, kronecker_decompose
 from quadpencil.localring import LocalRing, ring_sqrt
-from quadpencil.pencil import (Pencil, INF, apply_congruence, char_poly,
-                               twist, verify_ip1s, verify_ip2s)
+from quadpencil.pencil import (Homography, Pencil, INF, apply_congruence,
+                               char_poly, twist, verify_ip1s, verify_ip2s)
 from quadpencil.regular import (canonicalize, descriptor_key,
                                 diagonalize_unit, ip1s_solve)
 
@@ -308,6 +308,9 @@ def test_6_unit_forms_over_truncated_rings_reduce_to_two_classes():
 
 def test_7_ip2s_round_trip_200_planted_with_bruteforce_containment():
     rng = random.Random(707)
+    # half the instances plant c g0 for a non-square c, drawn from a
+    # generator of their own so the pencils and g0 stay as before
+    coin = random.Random(708)
     qs = (7, 11, 13)
     for i in range(200):
         F, elems = _field(qs[i % 3])
@@ -319,7 +322,9 @@ def test_7_ip2s_round_trip_200_planted_with_bruteforce_containment():
             A = sp.rand_regular_pencil(F, rng, rng.randint(1, 8))
         g0 = sp.rand_homography(F, rng)
         S0 = sp.rand_invertible(F, rng, A.n)
-        B = apply_congruence(twist(A, g0), S0)
+        c = coin.choice((F.one, field_nonsquare(F)))
+        gc = Homography.make(F, la.mat_scale(F, c, g0.m))
+        B = apply_congruence(twist(A, gc), S0)
         out = ip2s_solve(A, B)
         assert out is not None
         S, g = out

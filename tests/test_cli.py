@@ -170,6 +170,25 @@ def test_verify_takes_gamma_in_gl2(tmp_path, capsys):
         assert rc == rc_want and doc == {"verified": rc_want == 0}
 
 
+def test_ip2s_solves_a_nonsquare_scalar_twist(tmp_path, capsys):
+    # B = S^t twist(A, 2I) S over F_5, 2 a non-square, and no PGL_2
+    # representative of a solution: ip2s answers with a witness, which
+    # verify accepts
+    F = make_field(5)
+    rng = random.Random(4)
+    A = sp.rand_regular_pencil(F, rng, 3)
+    B = apply_congruence(Pencil.make(F, la.mat_scale(F, 2, A.b_inf),
+                                     la.mat_scale(F, 2, A.b_0)),
+                         sp.rand_invertible(F, rng, 3))
+    a, b, sol = (str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                 str(tmp_path / "sol.json"))
+    (tmp_path / "a.json").write_text(json.dumps(emit_pencil(A)))
+    (tmp_path / "b.json").write_text(json.dumps(emit_pencil(B)))
+    assert main(["ip2s", a, b, "-o", sol]) == 0
+    rc, doc = _run(capsys, ["verify", a, b, sol])
+    assert rc == 0 and doc == {"verified": True}
+
+
 def test_gen_is_deterministic(capsys):
     argv = ["gen", "--q", "3", "--degree", "2", "--n", "3", "--seed", "7",
             "--plant-ip2s"]

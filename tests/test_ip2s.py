@@ -134,9 +134,16 @@ def test_candidates_for_class_match_exhaustive_sweep():
 
 
 def _plant(F, rng, A):
+    """(B, g0): B a random congruence of twist(A, c g0) for a random g0
+    in PGL_2 and c 1 or a non-square, each half of the time.  c comes
+    from a generator seeded by rng's state, which it leaves as it is, so
+    A's and g0's draws do not depend on it."""
     g0 = sp.rand_homography(F, rng)
+    c = random.Random(str(rng.getstate())).choice((F.one,
+                                                   field_nonsquare(F)))
     S0 = sp.rand_invertible(F, rng, A.n)
-    return apply_congruence(twist(A, g0), S0), g0
+    gc = Homography.make(F, la.mat_scale(F, c, g0.m))
+    return apply_congruence(twist(A, gc), S0), g0
 
 
 def test_pool_equals_bruteforce_oracle():
@@ -357,18 +364,47 @@ def test_inequivalent_pairs_give_none(monkeypatch):
     B = Pencil.make(F, la.identity(F, 2), ((0, 0), (0, 6)))
     assert candidate_pool(F, canonicalize(A), canonicalize(B)) == ()
     assert _solve(monkeypatch, A, B) is None
-    # same places, mismatched character: diag(1, 1, a) vs diag(1, 1, b)
+    # same places, mismatched character: (I_2, 0) vs (diag(1, a), 0) for
+    # a non-square a.  Every twist of (I_2, 0) is (u I_2, v I_2), and
+    # det(u I_2) is a square
     rng = random.Random(71)
     nsq = next(x for x in F.elements()
                if x != F.zero and not F.is_square(x))
+    C = Pencil.make(F, la.identity(F, 2), la.zeros(F, 2, 2))
+    D = Pencil.make(F, _diag(F, (1, nsq)), la.zeros(F, 2, 2))
+    assert _solve(monkeypatch, C, D) is None
+    # in odd dimension the same flip is a non-square scalar: twisting
+    # (I_3, 0) by a I gives (a I_3, 0), of determinant a^3, which is
+    # congruent to (diag(1, 1, a), 0)
     C = Pencil.make(F, la.identity(F, 3), la.zeros(F, 3, 3))
     D = Pencil.make(F, _diag(F, (1, 1, nsq)), la.zeros(F, 3, 3))
-    assert _solve(monkeypatch, C, D) is None
+    out = _solve(monkeypatch, C, D)
+    assert out is not None and verify_ip2s(C, D, *out)
+    (a, b), (d, e) = out[1].m
+    assert b == d == F.zero and a == e and not F.is_square(a)
     # kronecker mismatch
     E = sp.planted_pencil(F, rng, kron=(0, 0, 0),
                           blocks=(((3, 1), 1, False),))[0]
     G = sp.planted_pencil(F, rng, kron=(1,), blocks=(((3, 1), 1, False),))[0]
     assert _solve(monkeypatch, E, G) is None
+
+
+def test_nonsquare_scalar_twists_are_solved(monkeypatch):
+    # B a random congruence of twist(A, a I) = a A for the non-square a:
+    # the pool holds PGL_2 representatives only, so the pair is solved by
+    # a non-square multiple of a candidate
+    for q in (3, 5, 7, 11):
+        F = make_field(q)
+        scalar = Homography.make(
+            F, la.mat_scale(F, field_nonsquare(F), la.identity(F, 2)))
+        for s in range(40):
+            rng = random.Random(s)
+            A = sp.rand_regular_pencil(F, rng, 3)
+            B = apply_congruence(twist(A, scalar),
+                                 sp.rand_invertible(F, rng, 3))
+            out = _solve(monkeypatch, A, B)
+            assert out is not None
+            assert verify_ip2s(A, B, *out)
 
 
 def test_fully_singular_pair_uses_identity_homography(monkeypatch):

@@ -10,7 +10,10 @@ from quadpencil import linalg as la
 from quadpencil import sampling as sp
 from quadpencil.kronecker import (kh_matrix, minimal_chain, chain_ok,
                                   kronecker_decompose)
-from quadpencil.pencil import Pencil, apply_congruence, twist, char_poly
+from quadpencil.pencil import (INF, Pencil, apply_congruence, twist,
+                               char_poly)
+
+from oracles import stable_inf_tower
 
 
 def test_kh_matrix_oracles():
@@ -30,7 +33,7 @@ def test_minimal_chain_none_for_regular():
     rng = random.Random(50)
     for _ in range(10):
         P = sp.rand_regular_pencil(F, rng, rng.randrange(1, 5))
-        assert minimal_chain(P) is None
+        assert minimal_chain(P) == (None, ())
 
 
 def test_minimal_chain_found_and_valid():
@@ -39,7 +42,7 @@ def test_minimal_chain_found_and_valid():
     for _ in range(20):
         hs = sorted(rng.choice([0, 1, 2]) for _ in range(rng.randrange(1, 3)))
         P, _ = sp.planted_pencil(F, rng, kron=hs)
-        c = minimal_chain(P)
+        c, _ = minimal_chain(P)
         assert c is not None
         assert c.h == hs[0]
         assert chain_ok(P, c)
@@ -121,3 +124,28 @@ def test_fully_regular_decomposition_is_empty():
     rep = kronecker_decompose(P)
     assert rep.indices == ()
     assert rep.regular_part.n == 4
+
+
+def test_inf_tower_is_the_stable_kernel_tower():
+    # INF layers of order 1-3 and multiplicity 1-2 beside finite places,
+    # with and without Kronecker blocks: the tower the walk leaves on the
+    # regular part is the one its own fixpoint loop builds, basis and all
+    rng = random.Random(56)
+    for F in (make_field(5), make_field(7), make_field(3, 2)):
+        x0, x1 = (F.zero, F.one), (F.one, F.one)
+        for ell in (1, 2, 3):
+            for mult in (1, 2):
+                for kron in ((), (0,), (1, 2)):
+                    blocks = tuple((INF, ell, i == mult - 1)
+                                   for i in range(mult)) + ((x1, 1, False),)
+                    P = sp.planted_pencil(F, rng, kron, blocks)[0]
+                    rep = kronecker_decompose(P)
+                    assert len(rep.inf_tower) == ell * mult
+                    assert rep.inf_tower == stable_inf_tower(
+                        rep.regular_part)
+        # B_inf invertible on the regular part: the walk stops at once
+        for kron in ((), (0,), (1,)):
+            P = sp.planted_pencil(F, rng, kron, ((x0, 1, False),
+                                                 (x1, 2, True)))[0]
+            rep = kronecker_decompose(P)
+            assert rep.inf_tower == () == stable_inf_tower(rep.regular_part)

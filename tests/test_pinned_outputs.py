@@ -12,11 +12,12 @@ is equivalent and its gamma.  A third one (`CLI_DIGEST`) covers the
 command line: the exit code, stdout and written files of each command
 in `CLI_COMMANDS`, run in-process over F_3, F_7, F_31, GF(9) and GF(4).
 
-One ROADMAP item changes `DIGEST` legitimately; record the new one with
-the change that does it.  Solving ip2s over GL_2 instead of PGL_2
-(item 1, the scalar class of gamma) changes the reported witnesses, so
-it also changes `INVARIANT_DIGEST`, and `CLI_DIGEST` if a pair of
-`CLI_COMMANDS` gets a new witness.
+Solving ip2s over all of GL_2 rather than over PGL_2 representatives
+moved none of the three digests.  The solver tries the whole pool as
+it is before any non-square multiple of a candidate, so every pair
+solved over PGL_2 keeps its witness, and no pinned pair went from
+"non-equivalent" to solved.  A change that does move a digest records
+the new one.
 """
 
 import hashlib
