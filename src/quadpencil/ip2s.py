@@ -200,7 +200,7 @@ def _idempotent_root(F, K, place):
     int64 array, row j the coefficient of y^j as an element of K."""
     d, p = K.deg, F.p
     w = 2 * d - 1
-    zred, yred = K.red_rows, F.extension(place).red_rows
+    zred, yred = K.red_rows, _poly.reduction_rows(place, p)
 
     def mul(a, b):
         # one convolution of the rows laid out with stride 2d - 1 is the

@@ -222,7 +222,7 @@ def congruent(F, B, S):
         A = _array(F, S)
         return _tuples(F, _matmul(F, A.swapaxes(0, 1),
                                   _matmul(F, _array(F, B), A)))
-    return mat_mul(F, transpose(S), mat_mul(F, B, S))
+    return ring_mat_mul(F, transpose(S), ring_mat_mul(F, B, S))
 
 
 def hstack(A, B):

@@ -392,19 +392,6 @@ def poly_factor(F, f):
     return found
 
 
-def trace_power_sums(F, f, count):
-    """h_m = Tr(zeta^m / f'(zeta)) for m = 0..count-1, via the dual-basis
-    seed h_0 = ... = h_{d-2} = 0, h_{d-1} = 1 and the recurrence of f."""
-    d = poly_deg(f)
-    h = [F.zero] * (d - 1) + [F.one]
-    for m in range(d, count):
-        acc = F.zero
-        for i in range(d):
-            acc = F.add(acc, F.mul(f[i], h[m - d + i]))
-        h.append(F.neg(acc))
-    return h[:count]
-
-
 class PolyRing:
     """Commutative-ring context over F[x], for division-free algorithms."""
 
@@ -415,9 +402,6 @@ class PolyRing:
 
     def add(self, a, b):
         return poly_add(self.F, a, b)
-
-    def sub(self, a, b):
-        return poly_sub(self.F, a, b)
 
     def neg(self, a):
         return poly_neg(self.F, a)

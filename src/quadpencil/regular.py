@@ -4,11 +4,12 @@ A regular pencil splits along the places of the projective line: the
 monic irreducible factors of its characteristic polynomial, plus a place
 at infinity carrying the part where the leading form degenerates.  Each
 primary block is a module over a truncated local ring R_ell =
-K[pi]/(pi^ell) and the leading form descends to a regular symmetric
-R-valued form on it.  Such forms split into free layers, and each layer
-is classified by its rank and a square-class character.  Reassembling
-the classification data yields an exact congruence onto a block diagonal
-matrix built from twisted trace forms, which is a complete invariant.
+K[pi]/(pi^ell) and the leading form descends, through the twisted trace
+Tr(xy/f'(zeta)), to a regular symmetric R-valued form on it.  Such forms
+split into free layers, and each layer is classified by its rank and a
+square-class character.  Reassembling the classification data yields an
+exact congruence onto a block diagonal matrix built from twisted trace
+forms, which is a complete invariant.
 """
 
 from __future__ import annotations
@@ -188,69 +189,41 @@ def local_structure(block, f):
                           _orbit(F, x, pi, G, d, ell))
 
 
-def _dual_traces(F, h, u, count):
-    """Tr(u(zeta) zeta^a / f'(zeta)) for a < count, from the sums h_m =
-    Tr(zeta^m / f'(zeta)) of trace_power_sums; u is a coefficient tuple,
-    constant first."""
-    out = []
-    for a in range(count):
-        acc = F.zero
-        for e, c in enumerate(u):
-            if c != F.zero:
-                acc = F.add(acc, F.mul(c, h[a + e]))
-        out.append(acc)
-    return out
-
-
-def _trace_dual_inverse(F, f):
-    """Plain power sums Tr(zeta^t) = Tr(zeta^t f'(zeta) / f'(zeta)) of
-    k[x]/f and the inverse Gram of the trace pairing Tr(zeta^(s+t)) on
-    the monomial basis."""
-    d = _poly.poly_deg(f)
-    h = _poly.trace_power_sums(F, f, 3 * d - 2)
-    tr = _dual_traces(F, h, _poly.poly_deriv(F, f), 2 * d - 1)
-    T = tuple(tuple(tr[s + t] for t in range(d)) for s in range(d))
-    Tinv = _la.inv(F, T)
-    if Tinv is None:
-        raise AssertionError("trace pairing degenerate; factor inseparable?")
-    return tuple(tr[:d]), Tinv
-
-
 def descend_bilinear(block, st):
-    """Descend the leading form through the trace to an R_ell-valued Gram
-    matrix on the module generators.  Returns (R, gram)."""
+    """Descend the leading form through the twisted trace Tr(xy/f'(zeta))
+    to an R_ell-valued Gram matrix on the module generators.  Returns
+    (R, gram)."""
     F, K, ell = block.ctx, st.K, st.ell
-    d = K.deg
+    d, f = K.deg, K.modulus
     R = _lr.LocalRing(K, ell)
     gens = st.generators
     r = len(gens)
-    tr, Tinv = _trace_dual_inverse(F, K.modulus)
     # row s d + a of xg is x^a g_s and column t ell + i of bn is B_inf
     # pi^(ell-1-i) g_t, both read off the orbit, so entry (s d + a, t ell
-    # + i) of xg bn is the trace Tr(zeta^a <g_s, pi^(ell-1-i) g_t>); Tinv
-    # turns the d traces of each (s, t, i) into the coordinates of
-    # gram[s][t][i]
+    # + i) of xg bn is Tr(zeta^a w / f'(zeta)) for the coefficient w of
+    # gram[s][t][i].  By Euler's lemma the basis dual to the zeta^a under
+    # that pairing is sum_t f_(t+j+1) zeta^t, so the anti-triangular
+    # Hankel matrix hank turns the d traces into the coordinates of w
     cols = _la.transpose(st.orbit)
     xg = tuple(cols[s * ell * d + a] for s in range(r) for a in range(d))
     bn = _la.mat_mul(F, block.b_inf, _la.transpose(tuple(
         cols[(t * ell + ell - 1 - i) * d] for t in range(r)
         for i in range(ell))))
     tra = _la.mat_mul(F, xg, bn)
-    co = _la.mat_mul(F, Tinv, tuple(
+    hank = tuple(tuple(f[t + j + 1] if t + j < d else F.zero
+                       for j in range(d)) for t in range(d))
+    co = _la.mat_mul(F, hank, tuple(
         sum((tra[s * d + a] for s in range(r)), ()) for a in range(d)))
     gram = tuple(tuple(tuple(tuple(co[a][(s * r + t) * ell + i]
                                    for a in range(d)) for i in range(ell))
                        for t in range(r)) for s in range(r))
     want = _la.congruent(F, block.b_inf, _la.transpose(gens))
-    # entry s r + t of got is the trace of the top coefficient of gram[s][t]
-    got = _la.mat_mul(F, (tr,), tuple(
-        tuple(gram[s][t][ell - 1][a] for s in range(r) for t in range(r))
-        for a in range(d)))[0]
     for s in range(r):
         for t in range(s, r):
             if gram[s][t] != gram[t][s]:
                 raise AssertionError("descended form is not symmetric")
-            if got[s * r + t] != want[s][t]:
+            # Tr(w / f'(zeta)) is the coefficient of zeta^(d-1) of w
+            if gram[s][t][ell - 1][d - 1] != want[s][t]:
                 raise AssertionError("descended form loses the trace")
     return R, gram
 
@@ -401,9 +374,14 @@ def canonical_local_block(F, place, ell, delta):
     f = place
     d = _poly.poly_deg(f)
     K = F.extension(f)
-    u = field_nonsquare(K) if delta else K.one
-    # Tr(u zeta^a / f'(zeta)) by shifting the dual-basis power sums
-    tv = _dual_traces(F, _poly.trace_power_sums(F, f, 3 * d - 1), u, 2 * d)
+    # tv[a] = Tr(u zeta^a / f'(zeta)), by Euler's lemma the coefficient
+    # of zeta^(d-1) of w = u zeta^a, and w zeta = shift(w) - w_(d-1) f
+    w = field_nonsquare(K) if delta else K.one
+    tv = []
+    for _ in range(2 * d):
+        tv.append(w[-1])
+        w = tuple(F.sub(c, F.mul(w[-1], fc))
+                  for c, fc in zip((F.zero,) + w[:-1], f))
     n = d * ell
     binf = [[F.zero] * n for _ in range(n)]
     b0 = [[F.zero] * n for _ in range(n)]
@@ -482,7 +460,7 @@ def canonical_assemble(F, kron, entries):
             blocks.append(LocalBlockDesc(e.place, e.ell, 1, e.character))
     seen = {}
     for b in blocks:
-        key = (b.place if b.place is INF else tuple(b.place), b.ell)
+        key = (b.place, b.ell)
         if b.character == "D":
             if seen.get(key) or b.mult != 1:
                 raise AssertionError("more than one non-square per layer")
@@ -528,15 +506,11 @@ def _process_place(block, f, cfull, place):
     R, gram = descend_bilinear(block, st)
     layers = split_free_layers(R, gram, st.orders)
     K, d = st.K, st.K.deg
-    # f'(zeta) in K = k[x]/f is f' itself, of degree below d
-    fpz = _poly.poly_pad(F, _poly.poly_deriv(F, f), d)
     entries = []
     for m, coeffcols, layer_gram in layers:
-        Rm = _lr.LocalRing(K, m)
-        # T^t (f'(zeta) G) T = diag(1, ..., 1, u) makes T^t G T the
-        # display diag(1, ..., 1, u) / f'(zeta) of canonical_local_block
-        Tm, flag = diagonalize_unit(
-            Rm, _la.mat_scale(Rm, Rm.from_field(fpz), layer_gram))
+        # T^t G T = diag(1, ..., 1, u) is the twisted trace form that
+        # canonical_local_block displays
+        Tm, flag = diagonalize_unit(_lr.LocalRing(K, m), layer_gram)
         # coeffcols holds one column per layer generator; both changes of
         # generators compose into one matrix over R
         G = _apply_ring_transform(F, st, _la.ring_mat_mul(

@@ -1,8 +1,9 @@
 """Reference oracles the tests compare the package against: square roots
 and local-ring elements by enumeration, modular powers of polynomials by
-square and multiply, the companion matrix, pointwise evaluation of forms
-and pencils, the Moebius action of a homography on a point, place data
-read straight off the characteristic form, the stable kernel tower of
+square and multiply, the companion matrix, the dual-basis power sums
+Tr(zeta^m / f'(zeta)) by the recurrence of f, pointwise evaluation of
+forms and pencils, the Moebius action of a homography on a point, place
+data read straight off the characteristic form, the stable kernel tower of
 B_inf by its own fixpoint loop, the exhaustive PGL_2 sweep for
 the homographies relating two binary forms, loop versions of the
 extension-field product and the matrix product, and the number of
@@ -133,6 +134,19 @@ def companion_matrix(F, f):
     for i in range(d):
         rows[i][d - 1] = F.neg(f[i])
     return tuple(tuple(r) for r in rows)
+
+
+def trace_power_sums(F, f, count):
+    """h_m = Tr(zeta^m / f'(zeta)) for m = 0..count-1, via the dual-basis
+    seed h_0 = ... = h_{d-2} = 0, h_{d-1} = 1 and the recurrence of f."""
+    d = pl.poly_deg(f)
+    h = [F.zero] * (d - 1) + [F.one]
+    for m in range(d, count):
+        acc = F.zero
+        for i in range(d):
+            acc = F.add(acc, F.mul(f[i], h[m - d + i]))
+        h.append(F.neg(acc))
+    return h[:count]
 
 
 def form_at(f, lam, mu):

@@ -10,12 +10,12 @@ from quadpencil.poly import (poly_trim, poly_deg, poly_add, poly_sub,
                              poly_mul, poly_divmod, poly_mod, poly_gcd,
                              poly_monic, poly_eval, poly_xgcd, poly_pow_mod,
                              poly_factor, is_irreducible,
-                             canonical_modulus, trace_power_sums,
-                             PolyRing, _equal_degree)
+                             canonical_modulus, PolyRing, _equal_degree)
 from quadpencil import linalg as la
 from quadpencil.ip2s import _target_roots
 
-from oracles import as_generic, companion_matrix, pow_mod_by_squaring
+from oracles import (as_generic, companion_matrix, pow_mod_by_squaring,
+                     trace_power_sums)
 
 
 def _rand_poly(F, rng, deg):

@@ -13,14 +13,12 @@ from quadpencil import sampling as sp
 from quadpencil.localring import LocalRing, ring_sqrt
 from quadpencil.pencil import (INF, Pencil, apply_congruence, char_poly,
                                verify_ip1s)
-from quadpencil.poly import trace_power_sums
 from quadpencil.regular import (canonicalize, canonical_local_block,
                                 descriptor_key, diagonalize_unit,
-                                ip1s_solve, emit_descriptor,
-                                _trace_dual_inverse)
+                                ip1s_solve, emit_descriptor)
 
 from oracles import (companion_matrix, mat_mul_by_loops, pencil_orbit_count,
-                     ring_rand, symmetric_matrices)
+                     ring_rand, symmetric_matrices, trace_power_sums)
 
 
 def test_linear_place_block_oracle():
@@ -83,46 +81,82 @@ def test_canonicalize_diagonalizes_each_layer_once(monkeypatch):
     assert len(calls) == layers
 
 
+def _irreducibles(F, rng, d, count):
+    """count random monic irreducibles of degree d over F."""
+    found = []
+    while len(found) < count:
+        f = tuple(F.rand(rng) for _ in range(d)) + (F.one,)
+        if poly.is_irreducible(F, f):
+            found.append(f)
+    return found
+
+
+def _trace(F, A):
+    acc = F.zero
+    for i in range(len(A)):
+        acc = F.add(acc, A[i][i])
+    return acc
+
+
 def test_block_matches_hankel_times_companion():
-    # ell = 1 finite block is T u (lambda I - M_f) with T the Hankel
-    # matrix of dual-trace powers and M_f the companion matrix
-    F = make_field(7)
-    for f in ((1, 0, 1), (1, 1, 0, 1)):
-        d = len(f) - 1
-        blk = canonical_local_block(F, f, 1, False)
-        h = trace_power_sums(F, f, 2 * d)
-        T = tuple(tuple(h[i + j] for j in range(d)) for i in range(d))
-        M = companion_matrix(F, f)
-        assert blk.b_inf == T
-        assert blk.b_0 == la.mat_neg(F, la.mat_mul(F, T, M))
-        # both Grams symmetric, b_inf invertible
-        assert la.is_invertible(F, blk.b_inf)
+    # an ell = 1 finite block is T_u (lambda I - M_f) with M_f the
+    # companion matrix and T_u[i][j] = Tr(u zeta^(i+j) / f'(zeta)) =
+    # sum_e u_e h_(i+j+e), h the dual-trace powers, for u = 1 and for u
+    # the canonical non-square Delta, a general element of K
+    rng = random.Random(86)
+    for F in (make_field(7), make_field(101), make_field(3, 2)):
+        for d in range(1, 6):
+            for f in _irreducibles(F, rng, d, 2):
+                K = F.extension(f)
+                h = trace_power_sums(F, f, 3 * d - 1)
+                M = companion_matrix(F, f)
+                for delta in (False, True):
+                    u = field_nonsquare(K) if delta else K.one
+                    tv = []
+                    for m in range(2 * d - 1):
+                        acc = F.zero
+                        for e in range(d):
+                            acc = F.add(acc, F.mul(u[e], h[m + e]))
+                        tv.append(acc)
+                    T = tuple(tuple(tv[i + j] for j in range(d))
+                              for i in range(d))
+                    blk = canonical_local_block(F, f, 1, delta)
+                    assert blk.b_inf == T
+                    assert blk.b_0 == la.mat_neg(F, la.mat_mul(F, T, M))
+                    assert la.is_invertible(F, blk.b_inf)
 
 
-def test_trace_dual_inverse_matches_companion_traces():
-    # Tr(zeta^t) is the trace of the t-th power of the companion matrix
+def test_euler_dual_basis_matches_companion_traces():
+    # with Tr(zeta^m) the trace of the m-th power of the companion matrix:
+    # the Hankel matrix hank[t][j] = f_(t+j+1) of descend_bilinear takes
+    # the traces Tr(zeta^(a+t)), a < d, to the coordinates of f'(zeta)
+    # zeta^t, and Tr(w / f'(zeta)) is the coefficient of zeta^(d-1) of w
     rng = random.Random(17)
     for F in (make_field(3), make_field(5), make_field(7), make_field(101),
               make_field(3, 2), make_field(5, 2)):
         for d in (1, 2, 3, 4):
-            found = 0
-            while found < 3:
-                f = tuple(F.rand(rng) for _ in range(d)) + (F.one,)
-                if not poly.is_irreducible(F, f):
-                    continue
-                found += 1
+            for f in _irreducibles(F, rng, d, 3):
+                K = F.extension(f)
                 M = companion_matrix(F, f)
                 cur, traces = la.identity(F, d), []
                 for _ in range(2 * d - 1):
-                    t = F.zero
-                    for i in range(d):
-                        t = F.add(t, cur[i][i])
-                    traces.append(t)
+                    traces.append(_trace(F, cur))
                     cur = la.mat_mul(F, cur, M)
-                T = tuple(tuple(traces[s + t] for t in range(d))
-                          for s in range(d))
-                assert _trace_dual_inverse(F, f) == (tuple(traces[:d]),
-                                                     la.inv(F, T))
+                hank = tuple(tuple(f[t + j + 1] if t + j < d else F.zero
+                                   for j in range(d)) for t in range(d))
+                got = la.mat_mul(F, hank, tuple(
+                    tuple(traces[a + t] for t in range(d)) for a in range(d)))
+                fpz = poly.poly_pad(F, poly.poly_deriv(F, f), d)
+                zeta = poly.poly_pad(F, poly.poly_mod(F, (F.zero, F.one), f),
+                                     d)
+                w = fpz
+                for t in range(d):
+                    assert tuple(row[t] for row in got) == w
+                    w = K.mul(w, zeta)
+                for _ in range(3):
+                    w = K.rand(rng)
+                    y = K.div(w, fpz)
+                    assert _trace(F, la.mat_poly_eval(F, y, M)) == w[d - 1]
 
 
 def test_infinite_block_oracle():
@@ -214,9 +248,9 @@ def test_planted_blocks_recovered():
     f2 = (2, 2, 1)                       # factor of x^4 + 4
     # places whose f'(zeta) is a non-square of their residue field K, so
     # that a layer with an odd number of generators takes its character
-    # from the scaled Gram f'(zeta) G, not from G; the norm of f'(zeta)
-    # is -disc(f), a non-square for cubics over F_3 and for quadratics
-    # over F_5 and GF(9)
+    # from the twisted trace form, whose Gram is f'(zeta) times the plain
+    # trace's; the norm of f'(zeta) is -disc(f), a non-square for cubics
+    # over F_3 and for quadratics over F_5 and GF(9)
     c1, c2 = (1, 2, 0, 1), (2, 2, 0, 1)  # x^3 + 2x + 1, x^3 + 2x + 2
     q1, q2 = (2, 0, 1), (1, 1, 1)        # x^2 + 2, x^2 + x + 1
     g1 = (f9.neg(field_nonsquare(f9)), f9.zero, f9.one)
