@@ -125,8 +125,8 @@ def _chain_from_tail(P, history, u_h):
 
 
 def _split_basis(P, c):
-    """Congruence columns (e'_i, f'_j, g_k) with alternating signs so the
-    (e, f) block is exactly K'_h; returns (S, m)."""
+    """Congruence columns (e'_i), (f'_j), (g_k), as vectors, with
+    alternating signs on the e and f so that their block is exactly K'_h."""
     F, n, h = P.ctx, P.n, c.h
     es = c.vectors
     if h > 0:
@@ -140,22 +140,21 @@ def _split_basis(P, c):
     else:
         fs, eperp = (), _la.identity(F, n)
     gs = _la.greedy_extend(F, es, eperp)
-    m = n - (2 * h + 1)
-    if len(gs) != m:
+    if len(gs) != n - (2 * h + 1):
         raise AssertionError("complement has wrong dimension")
-    cols = [v if i % 2 == 0 else tuple(F.neg(x) for x in v)
-            for vs in (es, fs) for i, v in enumerate(vs)]
-    return _la.transpose(tuple(cols) + gs), m
+    es, fs = (tuple(v if i % 2 == 0 else tuple(F.neg(x) for x in v)
+                    for i, v in enumerate(vs)) for vs in (es, fs))
+    return es, fs, gs
 
 
-def _staircase_correction(P, S, h, m):
-    """Correction with unit diagonal clearing the (f, g) coupling of the
-    Gram shape [[0, K', 0], [tK', A, C], [0, tC, B']] of P on the columns
-    of S; C and B' are read off the restriction of P to the f and g
-    columns alone."""
+def _staircase_correction(P, es, fs, gs):
+    """The f and g vectors moved to clear the (f, g) coupling of the Gram
+    shape [[0, K', 0], [tK', A, C], [0, tC, B']] of P on es + fs + gs:
+    fs + Z gs and gs + tX es, with Z and X solving the staircase; C and
+    B' are read off the restriction of P to the f and g vectors alone."""
     F = P.ctx
-    n = 2 * h + 1 + m
-    T = congruent_pencil(P, tuple(row[h + 1:] for row in S))
+    h, m = len(fs), len(gs)
+    T = congruent_pencil(P, _la.transpose(fs + gs))
     fi = range(h)
     gi = range(h, h + m)
     Cinf = _la.submatrix(T.b_inf, fi, gi)
@@ -188,26 +187,22 @@ def _staircase_correction(P, S, h, m):
     bz = _la.mat_mul(F, zrows, Binf) + _la.mat_mul(F, zrows[-1:], B0)
     xrows = [tuple(F.neg(F.add(x, y)) for x, y in zip(crow, brow))
              for crow, brow in zip(Cinf + C0[-1:], bz)]
-    corr = [list(row) for row in _la.identity(F, n)]
-    for i in range(h + 1):
-        for k in range(m):
-            corr[i][2 * h + 1 + k] = xrows[i][k]
-    for j in range(h):
-        for k in range(m):
-            corr[2 * h + 1 + k][h + 1 + j] = zrows[j][k]
-    return tuple(tuple(r) for r in corr)
+    return (_la.mat_add(F, fs, _la.mat_mul(F, zrows, gs)),
+            _la.mat_add(F, gs, _la.mat_mul(F, _la.transpose(xrows), es)))
 
 
 def split_kronecker(P, c):
     """Congruence isolating the Kronecker module of the chain as an
-    orthogonal direct factor.  Returns (S, module, complement): the
-    restrictions of P to the first 2h+1 columns of S, whose (e, *) rows
-    already match K_h, and to the other m columns."""
+    orthogonal direct factor.  Returns (vectors, module, complement):
+    the congruence's columns as vectors, and the restrictions of P to the
+    first 2h+1 of them, whose (e, *) rows already match K_h, and to the
+    other m."""
     F, h = P.ctx, c.h
-    S, m = _split_basis(P, c)
-    if h > 0 and m > 0:
-        S = _la.mat_mul(F, S, _staircase_correction(P, S, h, m))
-    parts = orthogonal_parts(P, S, (2 * h + 1, m))
+    es, fs, gs = _split_basis(P, c)
+    if h > 0 and gs:
+        fs, gs = _staircase_correction(P, es, fs, gs)
+    vectors = es + fs + gs
+    parts = orthogonal_parts(P, _la.transpose(vectors), (2 * h + 1, len(gs)))
     if parts is None:
         raise AssertionError("module coupling not cleared")
     module, comp = parts
@@ -215,7 +210,7 @@ def split_kronecker(P, c):
     for B, K in ((module.b_inf, ref.b_inf), (module.b_0, ref.b_0)):
         if B[:h + 1] != K[:h + 1]:
             raise AssertionError("module block malformed")
-    return S, module, comp
+    return vectors, module, comp
 
 
 def _clear_ff_block(F, T, h):
@@ -271,31 +266,30 @@ def kronecker_decompose(P):
     F, n = P.ctx, P.n
     if F.p == 2 and not (_alternating(F, P.b_inf) and _alternating(F, P.b_0)):
         raise ValueError("characteristic 2 requires alternating matrices")
-    S_total = _la.identity(F, n)
+    # the congruence's columns as vectors; only the last cur.n ever move
+    cols = _la.identity(F, n)
     indices = []
     cur = P
     while True:
         c, tower = minimal_chain(cur)
         if c is None:
             break
-        S_split, module, comp = split_kronecker(cur, c)
+        vectors, module, comp = split_kronecker(cur, c)
         S_norm = normalize_kronecker(module, c.h)
-        step = _la.mat_mul(F, S_split,
-                           _la.block_diag(F, [S_norm, _la.identity(F, comp.n)]))
-        done = n - cur.n
-        S_total = _la.mat_mul(F, S_total,
-                              _la.block_diag(F, [_la.identity(F, done), step]))
+        done, k = n - cur.n, 2 * c.h + 1
+        moved = _la.mat_mul(F, vectors, cols[done:])
+        cols = (cols[:done] + _la.mat_mul(F, _la.transpose(S_norm), moved[:k])
+                + moved[k:])
         indices.append(c.h)
         cur = comp
     # each chain is minimal, so the indices come out ascending
     if indices != sorted(indices):
         raise AssertionError("Kronecker indices were stripped out of order")
+    S_total = _la.transpose(cols)
     report = KroneckerReport(tuple(indices), S_total, cur, tower)
     final = apply_congruence(P, S_total)
-    ref = _la.block_diag(F, [kh_matrix(F, h).b_inf for h in indices]
-                         + [cur.b_inf])
-    ref0 = _la.block_diag(F, [kh_matrix(F, h).b_0 for h in indices]
-                          + [cur.b_0])
-    if final.b_inf != ref or final.b_0 != ref0:
+    blocks = [kh_matrix(F, h) for h in indices] + [cur]
+    if (final.b_inf != _la.block_diag(F, [K.b_inf for K in blocks])
+            or final.b_0 != _la.block_diag(F, [K.b_0 for K in blocks])):
         raise AssertionError("decomposition does not reassemble the input")
     return report

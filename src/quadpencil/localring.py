@@ -22,10 +22,6 @@ class LocalRing:
         self.red_rows = None
         self.zero = (K.zero,) * ell
         self.one = (K.one,) + (K.zero,) * (ell - 1)
-        if ell >= 2:
-            self.pi = (K.zero, K.one) + (K.zero,) * (ell - 2)
-        else:
-            self.pi = self.zero
 
     def _key(self):
         return (self.K._key(), self.ell)
@@ -123,21 +119,22 @@ def hensel_root(R, g, x0):
     """Exact root of the polynomial g over R near x0, by Newton iteration.
     Requires g(x0) = 0 mod pi and g'(x0) a unit."""
     gp = _poly.poly_deriv(R, g)
-    v0 = _poly.poly_eval(R, g, x0)
-    if v0[0] != R.K.zero:
+    v = _poly.poly_eval(R, g, x0)
+    if v[0] != R.K.zero:
         raise ValueError("x0 is not a root modulo pi")
-    if not R.is_unit(_poly.poly_eval(R, gp, x0)):
+    dv = _poly.poly_eval(R, gp, x0)
+    if not R.is_unit(dv):
         raise ValueError("derivative not a unit at x0 (Hensel fails)")
     x = x0
     steps = max(1, R.ell).bit_length() + 1
-    for _ in range(steps):
+    while not R.is_zero(v):
+        if not steps:
+            raise AssertionError("Newton failed to converge")
+        steps -= 1
+        x = R.sub(x, R.mul(v, R.inv(dv)))
         v = _poly.poly_eval(R, g, x)
-        if R.is_zero(v):
-            return x
-        x = R.sub(x, R.mul(v, R.inv(_poly.poly_eval(R, gp, x))))
-    v = _poly.poly_eval(R, g, x)
-    if not R.is_zero(v):
-        raise AssertionError("Newton failed to converge")
+        if not R.is_zero(v):
+            dv = _poly.poly_eval(R, gp, x)
     return x
 
 

@@ -13,6 +13,8 @@ each product through ``reduction_rows`` (x^t mod f for t < 2k - 1), the
 rows that extension fields also keep for their coefficient-plane
 kernels.  Every branch returns the same polynomial as the generic code.
 ``power`` is the package's one square and multiply, for any product.
+``is_irreducible`` is Ben-Or's test: ``poly_factor``'s distinct-degree
+loop, stopped at its first factor group.
 """
 
 from __future__ import annotations
@@ -248,30 +250,12 @@ def poly_sort_key(F, f):
 
 
 def is_irreducible(F, f):
-    """Rabin irreducibility test."""
-    n = poly_deg(f)
-    if n <= 0:
+    """Ben-Or's test: the distinct-degree loop on monic f, stopped at its
+    first factor group, which is f itself exactly when f is irreducible."""
+    if poly_deg(f) < 1:
         return False
-    if n == 1:
-        return True
     f = poly_monic(F, f)
-    x = poly_x(F)
-    primes, m = [], n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    for r in primes:
-        h = poly_pow_mod(F, x, F.q ** (n // r), f)
-        if poly_deg(poly_gcd(F, poly_sub(F, h, x), f)) != 0:
-            return False
-    h = poly_pow_mod(F, x, F.q ** n, f)
-    return poly_sub(F, h, x) == ()
+    return next(_distinct_degree(F, f)) == (f, poly_deg(f))
 
 
 def canonical_modulus(F, d):
@@ -320,8 +304,10 @@ def _squarefree(F, f, e, out):
 
 
 def _distinct_degree(F, f):
-    """[(product of irreducible factors of degree d, d)] for squarefree f."""
-    out = []
+    """Yield (product of the irreducible factors of degree d, d), d
+    ascending, for monic f, each as soon as gcd(x^(q^d) - x, rest) finds
+    it.  For squarefree f the products multiply to f; for any f the first
+    one collects the distinct factors of least degree."""
     x = poly_x(F)
     h = x
     d = 0
@@ -331,12 +317,11 @@ def _distinct_degree(F, f):
         h = poly_pow_mod(F, h, F.q, rest)
         g = poly_gcd(F, poly_sub(F, h, x), rest)
         if poly_deg(g) > 0:
-            out.append((g, d))
+            yield g, d
             rest = poly_divmod(F, rest, g)[0]
             h = poly_mod(F, h, rest)
     if poly_deg(rest) > 0:
-        out.append((rest, poly_deg(rest)))
-    return out
+        yield rest, poly_deg(rest)
 
 
 def _equal_degree(F, f, d, rng):

@@ -458,28 +458,21 @@ def canonical_assemble(F, kron, entries):
                                          last.mult + 1, last.character))
         else:
             blocks.append(LocalBlockDesc(e.place, e.ell, 1, e.character))
-    seen = {}
-    for b in blocks:
-        key = (b.place, b.ell)
-        if b.character == "D":
-            if seen.get(key) or b.mult != 1:
-                raise AssertionError("more than one non-square per layer")
-            seen[key] = True
+    # entries merge into one run per (place, ell, character), so a layer
+    # has at most one "D" block
+    if any(b.character == "D" and b.mult != 1 for b in blocks):
+        raise AssertionError("more than one non-square per layer")
     canon = assemble_blocks(F, kron.indices, [
         (e.place, e.ell, e.character == "D") for e in entries])
     cols = []
     for e in entries:
         cols.extend(e.columns)
-    nr = kron.regular_part.n
-    if len(cols) != nr:
+    if len(cols) != kron.regular_part.n:
         raise AssertionError("local columns do not fill the regular part")
-    if nr:
-        sreg = _la.transpose(tuple(cols))
-        nk = sum(2 * h + 1 for h in kron.indices)
-        total = _la.mat_mul(F, kron.transform, _la.block_diag(
-            F, [_la.identity(F, nk), sreg]))
-    else:
-        total = kron.transform
+    # only the regular columns of kron.transform move, to the local ones
+    nk = sum(2 * h + 1 for h in kron.indices)
+    total = _la.hstack(tuple(row[:nk] for row in kron.transform), _la.mat_mul(
+        F, tuple(row[nk:] for row in kron.transform), _la.transpose(cols)))
     return CanonicalDescriptor(kron.indices, tuple(blocks), total, canon)
 
 

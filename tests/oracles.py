@@ -6,18 +6,21 @@ forms and pencils, the Moebius action of a homography on a point, place
 data read straight off the characteristic form, the stable kernel tower of
 B_inf by its own fixpoint loop, the exhaustive PGL_2 sweep for
 the homographies relating two binary forms, loop versions of the
-extension-field product and the matrix product, and the number of
-congruence classes of pencils over F_p by Burnside's lemma."""
+extension-field product and the matrix product, the number of
+congruence classes of pencils over F_p, alone and up to twist, by
+Burnside's lemma, and one pencil per class found by canonicalize."""
 
+import functools
 import itertools
 
+from quadpencil.field import make_field
 from quadpencil import linalg as la
 from quadpencil.localring import LocalRing
 from quadpencil import poly as pl
 from quadpencil.ip2s import (SWEEP_BUDGET, _signature_of_descriptor,
                              _candidate_pool)
 from quadpencil.pencil import INF, Homography, Pencil, char_poly
-from quadpencil.regular import place_key
+from quadpencil.regular import canonicalize, descriptor_key, place_key
 
 
 def poly_from_ints(F, coeffs):
@@ -331,24 +334,71 @@ def _rank_mod_p(rows, p):
     return rank
 
 
+def _general_linear(p, n):
+    """Every invertible n x n matrix over F_p, as a list of int rows."""
+    for values in itertools.product(range(p), repeat=n * n):
+        S = [values[i * n:(i + 1) * n] for i in range(n)]
+        if _rank_mod_p(S, p) == n:
+            yield S
+
+
+def _congruence_matrix(S, coords):
+    """M_S, the matrix of B -> tS B S on the coordinates B[i][j], i <= j,
+    of a symmetric B: row (i, j), column (a, b) holds entry (i, j) of
+    tS B S for the basis form B with B[a][b] = B[b][a] = 1."""
+    return [[S[a][i] * S[b][j] + (S[b][i] * S[a][j] if a != b else 0)
+             for a, b in coords] for i, j in coords]
+
+
+def _fixed_dim(M, p):
+    """Dimension of the subspace of F_p^k fixed by the k x k matrix M."""
+    return len(M) - _rank_mod_p([[x - (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(M)], p)
+
+
 def pencil_orbit_count(p, n):
     """Number of orbits of GL_n(F_p) acting by congruence on pencils of
     symmetric n x n matrices, by Burnside's lemma: the mean over S of
     p^(2 dim Fix S), Fix S being the subspace of Sym_n fixed by
     B -> tS B S.  On the N = n(n+1)/2 coordinates B[i][j], i <= j,
-    that map is the matrix M_S, so dim Fix S = N - rank(M_S - I).  No
-    orbit is enumerated and no package code runs."""
+    that map is the matrix M_S.  No orbit is enumerated and no package
+    code runs."""
     coords = [(i, j) for i in range(n) for j in range(i, n)]
-    total = order = 0
-    for values in itertools.product(range(p), repeat=n * n):
-        S = [values[i * n:(i + 1) * n] for i in range(n)]
-        if _rank_mod_p(S, p) < n:
-            continue
-        order += 1
-        # row (i, j), column (a, b): entry (i, j) of tS B S for the basis
-        # form B with B[a][b] = B[b][a] = 1
-        shifted = [[S[a][i] * S[b][j] + (S[b][i] * S[a][j] if a != b else 0)
-                    - ((i, j) == (a, b)) for a, b in coords]
-                   for i, j in coords]
-        total += p ** (2 * (len(coords) - _rank_mod_p(shifted, p)))
-    return total // order
+    group = list(_general_linear(p, n))
+    return sum(p ** (2 * _fixed_dim(_congruence_matrix(S, coords), p))
+               for S in group) // len(group)
+
+
+def pencil_pair_orbit_count(p, n):
+    """Number of orbits of GL_n(F_p) x GL_2(F_p) on pencils of symmetric
+    n x n matrices, congruence by S and twist by h = ((a, b), (d, e)),
+    by Burnside's lemma.  Twist is linear in the two forms, so (S, h)
+    acts on the 2N coordinates of (B_inf, B_0) by the block matrix
+    [[a M_S, d M_S], [b M_S, e M_S]].  No orbit is enumerated and no
+    package code runs."""
+    coords = [(i, j) for i in range(n) for j in range(i, n)]
+    gl_n, gl_2 = list(_general_linear(p, n)), list(_general_linear(p, 2))
+    total = 0
+    for S in gl_n:
+        M = _congruence_matrix(S, coords)
+        for (a, b), (d, e) in gl_2:
+            Mg = ([[a * x for x in row] + [d * x for x in row] for row in M]
+                  + [[b * x for x in row] + [e * x for x in row]
+                     for row in M])
+            total += p ** _fixed_dim(Mg, p)
+    return total // (len(gl_n) * len(gl_2))
+
+
+@functools.cache
+def congruence_class_representatives(p, n):
+    """The first pencil over F_p^n, in the order of symmetric_matrices,
+    of each descriptor that canonicalize returns, keyed by descriptor:
+    one pencil per GL_n class.  Cached, so that the tests that count the
+    classes and the one that solves ip2s between them share one pass."""
+    F = make_field(p)
+    reps = {}
+    for b_inf in symmetric_matrices(p, n):
+        for b_0 in symmetric_matrices(p, n):
+            P = Pencil.make(F, b_inf, b_0)
+            reps.setdefault(descriptor_key(canonicalize(P)), P)
+    return reps

@@ -19,7 +19,8 @@ from quadpencil.pencil import (Pencil, BinaryForm, Homography, INF,
 from quadpencil.regular import canonicalize
 
 from oracles import (all_homographies, bruteforce_homographies,
-                     candidate_pool, factor_signature, regular_form,
+                     candidate_pool, congruence_class_representatives,
+                     factor_signature, pencil_pair_orbit_count, regular_form,
                      regular_part)
 
 
@@ -422,6 +423,26 @@ def test_fully_singular_pair_uses_identity_homography(monkeypatch):
     pool = candidate_pool(F, canonicalize(A), canonicalize(B))
     assert ([_homography_key(F, h) for h in pool]
             == sorted(_homography_key(F, h) for h in all_homographies(F)))
+
+
+@pytest.mark.parametrize("p,n,orbits", [(3, 1, 2), (3, 2, 7), (5, 1, 2),
+                                        (7, 1, 2)])
+def test_ip2s_finds_every_class_up_to_twist(p, n, orbits):
+    """One pencil per GL_n class over F_p^n, each solved against the first
+    member of every GL_n x GL_2 class found so far: every witness
+    verifies, and the classes come out exactly as many as Burnside's
+    lemma counts, so no equivalent pair was answered None."""
+    assert pencil_pair_orbit_count(p, n) == orbits
+    firsts = []
+    for P in congruence_class_representatives(p, n).values():
+        for Q in firsts:
+            out = ip2s_solve(P, Q)
+            if out is not None:
+                assert verify_ip2s(P, Q, *out)
+                break
+        else:
+            firsts.append(P)
+    assert len(firsts) == orbits
 
 
 def test_large_field_split_torus_pinning(monkeypatch):

@@ -22,8 +22,9 @@ def test_ring_axioms_and_units():
         if R.is_unit(a):
             assert R.mul(a, R.inv(a)) == R.one
     # pi is nilpotent of the exact order
-    assert R.mul(R.pi, R.mul(R.pi, R.pi)) == R.zero
-    assert R.mul(R.pi, R.pi) != R.zero
+    pi = (0, 1, 0)
+    assert R.mul(pi, R.mul(pi, pi)) == R.zero
+    assert R.mul(pi, pi) != R.zero
     # powers of units of GF(9)[pi]/pi^3 against repeated products
     R = LocalRing(make_field(3, 2), 3)
     for _ in range(20):
@@ -42,7 +43,7 @@ def test_valuation_and_pi_shifts():
     F = make_field(5)
     R = LocalRing(F, 4)
     a = (0, 0, 2, 3)
-    assert R.mul(R.pi, (1, 2, 3, 4)) == (0, 1, 2, 3)
+    assert R.mul((0, 1, 0, 0), (1, 2, 3, 4)) == (0, 1, 2, 3)
     assert R.div_pi(a, 2) == (2, 3, 0, 0)
     with pytest.raises(ValueError):
         R.div_pi((1, 0, 0, 0), 1)
@@ -54,7 +55,7 @@ def test_tau_reads_top_coefficient():
     # tau, the coefficient of pi^(ell-1), makes tau(x*y) a perfect
     # pairing on R: its Gram on the monomial basis (1, pi) is the
     # reversed identity
-    basis = (R.one, R.pi)
+    basis = (R.one, (0, 1))
     gram = [[R.mul(x, y)[R.ell - 1] for y in basis] for x in basis]
     assert gram == [[0, 1], [1, 0]]
 
@@ -112,7 +113,7 @@ def test_ring_sqrt_rejects_nonunit():
     F = make_field(5)
     R = LocalRing(F, 2)
     with pytest.raises(ValueError):
-        ring_sqrt(R, R.pi)
+        ring_sqrt(R, (0, 1))
 
 
 def test_retract_lift():

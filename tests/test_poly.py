@@ -253,6 +253,42 @@ def test_irreducible_exhaustive_deg2():
             assert is_irreducible(F, f) == (not has_root)
 
 
+def _mobius(n):
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+@pytest.mark.parametrize("p,k,top", [(2, 1, 8), (3, 1, 5), (5, 1, 4),
+                                     (7, 1, 3), (2, 2, 4), (3, 2, 3)])
+def test_irreducible_matches_trial_division_and_gauss_count(p, k, top):
+    """Every monic f of degree 1..top over F_q: is_irreducible(f) exactly
+    when no monic of degree 1..deg(f)/2 divides f, and the irreducibles of
+    degree n number (1/n) sum_{d | n} mu(d) q^(n/d), Gauss's count."""
+    F = make_field(p, k)
+    elems = list(F.elements())
+
+    def monics(d):
+        return [t + (F.one,) for t in itertools.product(elems, repeat=d)]
+
+    for n in range(1, top + 1):
+        divisors = [g for d in range(1, n // 2 + 1) for g in monics(d)]
+        count = 0
+        for f in monics(n):
+            irreducible = is_irreducible(F, f)
+            assert irreducible == all(poly_divmod(F, f, g)[1]
+                                      for g in divisors)
+            count += irreducible
+        assert n * count == sum(_mobius(d) * F.q ** (n // d)
+                                for d in range(1, n + 1) if n % d == 0)
+
+
 def test_canonical_modulus_oracles():
     assert canonical_modulus(make_field(3), 2) == (1, 0, 1)
     assert canonical_modulus(make_field(5), 2) == (1, 1, 1)
