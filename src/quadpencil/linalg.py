@@ -2,10 +2,10 @@
 
 Matrices are tuples of row tuples of elements; vectors are tuples, and a
 matrix times a vector is a product with a one-column or one-row matrix.
-The products, `congruent`, `mat_pow`, `mat_poly_eval`, `rref` (and
-through it `rank`, `nullspace`, `mat_solve`, `inv`, `span_basis` and
-`greedy_extend`) and `charpoly` take one of two paths, chosen by the
-context:
+The products, `congruent`, `mat_poly_eval`, `krylov`, `rref` (and
+through it `rank`, `nullspace`, `kernel_basis`, `mat_solve`, `inv`,
+`span_basis` and `greedy_extend`) and `charpoly` take one of two paths,
+chosen by the context:
 
 * finite fields F_p and GF(p^k) run numpy int64 kernels on element
   arrays, of shape (r, c) over F_p and (r, c, k) over GF(p^k), where an
@@ -19,15 +19,16 @@ context:
 
 Each public kernel reads its tuples into arrays and converts its result
 back once, however many products it chains: `congruent` is two products,
-`mat_poly_eval` a Horner loop and `mat_pow` a square and multiply, all on
-arrays.  `rref` delays reduction mod p: each pivot step reduces only the
-pivot column and the pivot row, and the block is reduced once at the end.
-The one bound that keeps every int64 intermediate below 2^63 is asserted
-in `_array`.
+`mat_poly_eval` a Horner loop and `krylov` a doubling, all on arrays.
+`rref` delays reduction mod p: each pivot step reduces only the pivot
+column and the pivot row, and the block is reduced once at the end.  The
+one bound that keeps every int64 intermediate below 2^63 is asserted in
+`_array`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -305,6 +306,16 @@ def nullspace(F, A, ncols=None):
     return tuple(out)
 
 
+def kernel_basis(F, vectors):
+    """The basis that nullspace returns for every matrix whose kernel is
+    the span of the given row vectors.  nullspace's free columns are the
+    columns independent in that span chosen greedily from the right, and
+    its vector for a free column is 1 there and 0 at the others: the rref
+    of the vectors with their columns reversed, read back in reverse."""
+    R, pivots = rref(F, tuple(v[::-1] for v in vectors))
+    return tuple(r[::-1] for r in reversed(R[:len(pivots)]))
+
+
 def solve(F, A, b):
     """One solution of A x = b (free coordinates zero), or None."""
     X = mat_solve(F, A, tuple((x,) for x in b))
@@ -409,16 +420,6 @@ def det(F, A):
     return F.neg(d) if n % 2 else d
 
 
-def mat_pow(F, M, e):
-    """M^e by square and multiply, on the element array when e > 1."""
-    if e > 1 and M and _on_arrays(F):
-        # with e > 0, power never returns its unit, so none is built
-        return _tuples(F, _poly.power(lambda A, B: _matmul(F, A, B),
-                                      _array(F, M), e, None))
-    return _poly.power(lambda A, B: mat_mul(F, A, B), M, e,
-                       identity(F, len(M)))
-
-
 def mat_poly_eval(F, f, M):
     """f(M) for a polynomial f (constant first) and square matrix M, by
     Horner's rule with each coefficient added on the diagonal.  On an
@@ -440,6 +441,36 @@ def mat_poly_eval(F, f, M):
     for c in reversed(f[:-1]):
         acc = _add_diagonal(F, mat_mul(F, acc, M), c)
     return acc
+
+
+def krylov(F, M):
+    """The function images(t, polys) of a square matrix M: h(M) e_t for
+    each polynomial h of degree below n = len(M), as row vectors, that is
+    the coefficient rows of the h times the Krylov rows, row k being
+    M^k e_t.  Those are built by doubling (Keller-Gehrig): rows s to
+    2s - 1 are the first s rows times tM^s.  The powers tM^s, s = 1, 2,
+    4, ..., are made once, on element arrays where the field has them,
+    and serve every start t."""
+    n = len(M)
+    if _on_arrays(F):
+        mul, read, out = (partial(_matmul, F), partial(_array, F),
+                          partial(_tuples, F))
+        cat = np.vstack
+    else:
+        mul, read, out = partial(ring_mat_mul, F), tuple, tuple
+        cat = partial(sum, start=())
+    powers = [read(transpose(M))] if n else []
+
+    def images(t, polys):
+        Y = read((tuple(F.one if i == t else F.zero for i in range(n)),))
+        for j in range((n - 1).bit_length()):
+            if j == len(powers):
+                powers.append(mul(powers[-1], powers[-1]))
+            Y = cat((Y, mul(Y[:n - len(Y)], powers[j])))
+        return out(mul(read(tuple(_poly.poly_pad(F, h, n) for h in polys)),
+                       Y))
+
+    return images
 
 
 def _add_diagonal(F, A, c):

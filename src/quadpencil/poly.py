@@ -13,6 +13,9 @@ each product through ``reduction_rows`` (x^t mod f for t < 2k - 1), the
 rows that extension fields also keep for their coefficient-plane
 kernels.  Every branch returns the same polynomial as the generic code.
 ``power`` is the package's one square and multiply, for any product.
+The distinct-degree loop keeps x^(q^d) mod f; over a prime field it
+takes each power after the first as one product by the Frobenius matrix
+Q of F_p[x]/f, whose row i is x^(i p) mod f, since h^p = h(x^p) there.
 ``is_irreducible`` is Ben-Or's test: ``poly_factor``'s distinct-degree
 loop, stopped at its first factor group.
 """
@@ -229,6 +232,20 @@ def _pow_mod_rows(F, g, e, f):
     return poly_trim(F, r.tolist())
 
 
+def _frobenius_rows(F, f, xq):
+    """(k, k) int64 array whose row i holds x^(i q) mod f over F_p, for
+    monic f of degree k, from xq = x^q mod f.  Over a prime field
+    h(x)^q = h(x^q), so h^q mod f is h's coefficient vector times these
+    rows (von zur Gathen and Shoup)."""
+    p, k = F.p, poly_deg(f)
+    rows = reduction_rows(f, p)
+    b = np.array(poly_pad(F, xq, k), dtype=np.int64)
+    Q = [np.eye(1, k, dtype=np.int64)[0], b]
+    while len(Q) < k:
+        Q.append(np.convolve(Q[-1], b) % p @ rows % p)
+    return np.array(Q)
+
+
 def poly_eval(F, f, x):
     acc = F.zero
     for c in reversed(f):
@@ -307,19 +324,28 @@ def _distinct_degree(F, f):
     """Yield (product of the irreducible factors of degree d, d), d
     ascending, for monic f, each as soon as gcd(x^(q^d) - x, rest) finds
     it.  For squarefree f the products multiply to f; for any f the first
-    one collects the distinct factors of least degree."""
+    one collects the distinct factors of least degree.  h = x^(q^d) is
+    kept mod f, which rest divides; over a prime field every power after
+    the first is one product by the Frobenius rows of f, built when the
+    second is needed."""
     x = poly_x(F)
     h = x
     d = 0
     rest = f
+    frob = None
     while poly_deg(rest) >= 2 * (d + 1):
         d += 1
-        h = poly_pow_mod(F, h, F.q, rest)
+        if F.prime and d > 1:
+            if frob is None:
+                frob = _frobenius_rows(F, f, h)
+            h = poly_trim(F, (np.array(poly_pad(F, h, len(frob))) @ frob
+                              % F.p).tolist())
+        else:
+            h = poly_pow_mod(F, h, F.q, f)
         g = poly_gcd(F, poly_sub(F, h, x), rest)
         if poly_deg(g) > 0:
             yield g, d
             rest = poly_divmod(F, rest, g)[0]
-            h = poly_mod(F, h, rest)
     if poly_deg(rest) > 0:
         yield rest, poly_deg(rest)
 

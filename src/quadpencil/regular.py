@@ -2,14 +2,16 @@
 
 A regular pencil splits along the places of the projective line: the
 monic irreducible factors of its characteristic polynomial, plus a place
-at infinity carrying the part where the leading form degenerates.  Each
-primary block is a module over a truncated local ring R_ell =
-K[pi]/(pi^ell) and the leading form descends, through the twisted trace
-Tr(xy/f'(zeta)), to a regular symmetric R-valued form on it.  Such forms
-split into free layers, and each layer is classified by its rank and a
-square-class character.  Reassembling the classification data yields an
-exact congruence onto a block diagonal matrix built from twisted trace
-forms, which is a complete invariant.
+at infinity carrying the part where the leading form degenerates.  The
+finite primary components are read off one Krylov matrix of c, with no
+kernel of an n x n matrix per place.  Each primary block is a module
+over a truncated local ring R_ell = K[pi]/(pi^ell) and the leading form
+descends, through the twisted trace Tr(xy/f'(zeta)), to a regular
+symmetric R-valued form on it.  Such forms split into free layers, and
+each layer is classified by its rank and a square-class character.
+Reassembling the classification data yields an exact congruence onto a
+block diagonal matrix built from twisted trace forms, which is a
+complete invariant.
 """
 
 from __future__ import annotations
@@ -65,18 +67,37 @@ def primary_split(P):
     """Factor the characteristic polynomial of c and return the list of
     (factor, basis of its primary component, restriction of P to it), in
     factor order.  Requires B_inf invertible; components are orthogonal
-    for both forms."""
+    for both forms.
+
+    With g = cp / f^m, g(c) maps V onto the component of f^m and kills
+    the others, so the vectors (x^j g)(c) e_t, j < deg f^m, read off the
+    Krylov rows of e_t, span it for enough starts e_0, e_1, ...: one
+    where c is cyclic.  Each basis is the one nullspace(f(c)^m) returns."""
     F = P.ctx
     c = char_endomorphism(P)
     cp = _la.charpoly(F, c)
-    factors, bases = [], []
+    factors, polys = [], []
     for f, m in _poly.poly_factor(F, cp):
-        img = _la.mat_pow(F, _la.mat_poly_eval(F, f, c), m)
-        basis = _la.nullspace(F, img, ncols=P.n)
-        if len(basis) != _poly.poly_deg(f) * m:
-            raise AssertionError("primary component has wrong dimension")
+        fm = _poly.power(lambda a, b: _poly.poly_mul(F, a, b), f, m, None)
+        g = _poly.poly_divmod(F, cp, fm)[0]
         factors.append(f)
-        bases.append(basis)
+        polys.append([(F.zero,) * j + g for j in range(_poly.poly_deg(fm))])
+    bases = [()] * len(factors)
+    short = list(range(len(factors)))
+    zero = (F.zero,) * P.n
+    images = _la.krylov(F, c)
+    for t in range(P.n):
+        if not short:
+            break
+        imgs = iter(images(t, [h for i in short for h in polys[i]]))
+        for i in short:
+            new = tuple(v for v in (next(imgs) for _ in polys[i])
+                        if v != zero)
+            if new:
+                bases[i] = _la.kernel_basis(F, bases[i] + new)
+        short = [i for i in short if len(bases[i]) < len(polys[i])]
+    if any(len(b) != len(h) for b, h in zip(bases, polys)):
+        raise AssertionError("primary component has wrong dimension")
     if sum(len(b) for b in bases) != P.n:
         raise AssertionError("primary components do not fill the space")
     parts = orthogonal_parts(P, _la.transpose(sum(bases, ())),

@@ -61,40 +61,67 @@ def schoolbook_mul(F, a, b):
     return tuple(t[:k])
 
 
+def _mod_by_division(p, a, f):
+    """a mod f over F_p on int lists, by long division."""
+    lead_inv = pow(f[-1], p - 2, p)
+    k = len(f) - 1
+    a = list(a)
+    for i in range(len(a) - 1, k - 1, -1):
+        c = a[i] * lead_inv % p
+        for j in range(k + 1):
+            a[i - k + j] = (a[i - k + j] - c * f[j]) % p
+    a = a[:k]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul_mod_by_loops(p, a, b, f):
+    """a b mod f over F_p, by the double loop and long division."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _mod_by_division(p, out, f)
+
+
 def pow_mod_by_squaring(p, g, e, f):
     """g^e mod f over F_p by square and multiply, each product by the
     double loop and each remainder by long division, on int lists,
     without the package's polynomial arithmetic."""
-    lead_inv = pow(f[-1], p - 2, p)
-    k = len(f) - 1
-
-    def mod(a):
-        a = list(a)
-        for i in range(len(a) - 1, k - 1, -1):
-            c = a[i] * lead_inv % p
-            for j in range(k + 1):
-                a[i - k + j] = (a[i - k + j] - c * f[j]) % p
-        a = a[:k]
-        while a and not a[-1]:
-            a.pop()
-        return a
-
-    def mul(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-        return mod(out)
-
-    r, b = [1], mod(g)
+    r, b = [1], _mod_by_division(p, g, f)
     while e:
         if e & 1:
-            r = mul(r, b)
-        b = mul(b, b)
+            r = _mul_mod_by_loops(p, r, b, f)
+        b = _mul_mod_by_loops(p, b, b, f)
         e >>= 1
     return tuple(r)
+
+
+def irreducible_by_berlekamp(p, f):
+    """True when the monic int polynomial f of degree k >= 1 is
+    irreducible over F_p, by a route apart from the distinct-degree
+    loop: f divides x^(p^k) - x, which is squarefree, so f is squarefree;
+    and the Frobenius-fixed elements of F_p[x]/f, the kernel of Q - I for
+    Berlekamp's matrix Q (row i: x^(i p) mod f), form one dimension per
+    distinct irreducible factor."""
+    k = len(f) - 1
+    if k == 1:
+        return True
+    xp = list(pow_mod_by_squaring(p, (0, 1), p, f))
+    Q = [[1]]
+    for _ in range(k - 1):
+        Q.append(_mul_mod_by_loops(p, Q[-1], xp, f))
+    Q = [row + [0] * (k - len(row)) for row in Q]
+    x = [0, 1] + [0] * (k - 2)
+    h = x
+    for _ in range(k):
+        h = [sum(h[i] * Q[i][j] for i in range(k)) % p for j in range(k)]
+    fixed = k - _rank_mod_p([[Q[i][j] - (i == j) for j in range(k)]
+                             for i in range(k)], p)
+    return h == x and fixed == 1
 
 
 def mat_mul_by_loops(F, A, B):
@@ -169,6 +196,12 @@ def pencil_at(P, lam, mu):
                       la.mat_scale(F, mu, P.b_0))
 
 
+def _mat_pow(F, M, e):
+    """M^e by the package's square and multiply over mat_mul."""
+    return pl.power(lambda A, B: la.mat_mul(F, A, B), M, e,
+                    la.identity(F, len(M)))
+
+
 def factor_signature(P):
     """Places of the characteristic form bucketed by degree and layer
     ranks, by factoring the form directly and reading each place's
@@ -211,10 +244,9 @@ def factor_signature(P):
         d = len(form) - 1
         g = la.zeros(F, P.n, P.n)
         for i, fi in enumerate(form):
-            term = la.mat_mul(F, la.mat_pow(F, lam, i),
-                              la.mat_pow(F, mu, d - i))
+            term = la.mat_mul(F, _mat_pow(F, lam, i), _mat_pow(F, mu, d - i))
             g = la.mat_add(F, g, la.mat_scale(F, fi, term))
-        kdim = [P.n - la.rank(F, la.mat_pow(F, g, k)) for k in range(e + 2)]
+        kdim = [P.n - la.rank(F, _mat_pow(F, g, k)) for k in range(e + 2)]
         # layers of order exactly ell: second difference of kdim
         blocks = [(2 * kdim[ell] - kdim[ell - 1] - kdim[ell + 1]) // d
                   for ell in range(1, e + 1)]

@@ -66,6 +66,22 @@ def test_nullspace_annihilates():
         assert la.rank(F, ns) == len(ns) if ns else True
 
 
+@pytest.mark.parametrize("p,deg", [(7, 1), (101, 1), (3, 2)])
+def test_kernel_basis_is_the_nullspace_basis(p, deg):
+    """kernel_basis of any spanning family of a matrix's kernel, with
+    dependent and zero rows among it, is the basis nullspace returns."""
+    F = make_field(p, deg)
+    rng = random.Random(23 + p)
+    for _ in range(40):
+        r, c = rng.randrange(1, 6), rng.randrange(1, 8)
+        # low rank, so that kernels are large and free columns vary
+        M = la.mat_mul(F, _rand_mat(F, rng, r, 2), _rand_mat(F, rng, 2, c))
+        ns = la.nullspace(F, M)
+        mix = la.mat_mul(F, _rand_mat(F, rng, len(ns) + 2, len(ns)), ns)
+        assert la.kernel_basis(F, ns) == ns
+        assert la.kernel_basis(F, mix + ((F.zero,) * c,)) == ns
+
+
 def test_solve_property():
     F = make_field(11)
     rng = random.Random(23)
@@ -104,11 +120,11 @@ def test_mat_poly_eval_matches_power_sum(p, deg):
     for _ in range(20):
         n = rng.randrange(1, 5)
         M = _rand_mat(F, rng, n, n)
-        assert la.mat_pow(F, M, 0) == la.identity(F, n)
         f = tuple(F.rand(rng) for _ in range(rng.randrange(0, 5)))
-        want = la.zeros(F, n, n)
-        for i, c in enumerate(f):
-            want = la.mat_add(F, want, la.mat_scale(F, c, la.mat_pow(F, M, i)))
+        want, power = la.zeros(F, n, n), la.identity(F, n)
+        for c in f:
+            want = la.mat_add(F, want, la.mat_scale(F, c, power))
+            power = mat_mul_by_loops(F, power, M)
         assert la.mat_poly_eval(F, f, M) == want
 
 
@@ -390,9 +406,9 @@ def test_elimination_at_the_overflow_edge(p, deg, big):
 def test_products_at_the_overflow_edge(p, deg, big):
     """With the largest prime the fields accept, every product kernel
     (mat_mul, with one-column and one-row products, congruent,
-    mat_poly_eval, mat_pow and charpoly) agrees with products by loops
-    or the generic Berkowitz on random and all-(p - 1) matrices, and
-    returns every entry in [0, p)."""
+    mat_poly_eval, krylov and charpoly) agrees with products by
+    loops or the generic Berkowitz on random and all-(p - 1) matrices,
+    and returns every entry in [0, p)."""
     F = make_field(p, deg)
     rng = random.Random(46)
     top = F.p - 1 if F.prime else (F.p - 1,) * F.deg
@@ -413,11 +429,9 @@ def test_products_at_the_overflow_edge(p, deg, big):
                                               mat_mul_by_loops(F, M, A)))
         mats.append(la.mat_poly_eval(F, f, M))
         want_mats.append(_horner_by_loops(F, f, M))
-        power = M
-        for e in (1, 2, 3):
-            mats.append(la.mat_pow(F, M, e))
-            want_mats.append(power)
-            power = mat_mul_by_loops(F, power, M)
+        mats.append(la.krylov(F, M)(big - 1, (f, (top,) * big)))
+        want_mats.append(tuple(la.transpose(_horner_by_loops(F, h, M))[-1]
+                               for h in (f, (top,) * big)))
         vecs.append(la.charpoly(F, M))
         want_vecs.append(la.berkowitz(F, M))
         assert mats == want_mats
@@ -457,8 +471,9 @@ def _ring_fields():
 @pytest.mark.parametrize("F", _ring_fields(), ids=repr)
 def test_matrix_polynomials_and_congruence_match_loops(F):
     """mat_poly_eval on the zero polynomial, a constant and non-monic
-    polynomials of degree 1 to 5, mat_pow for exponents 0 to 5 and
-    congruent for n x 1, n x n, 1 x 1 and empty S, against loops."""
+    polynomials of degree 1 to 5, krylov on every start with those
+    of degree below n, and congruent for n x 1, n x n, 1 x 1 and empty S,
+    against loops."""
     rng = random.Random(44)
     for n in range(6):
         M = _rand_over(F, rng, n, n)
@@ -468,12 +483,16 @@ def test_matrix_polynomials_and_congruence_match_loops(F):
             while lead in (F.zero, F.one):
                 lead = _elem(F, rng)
             polys.append(tuple(_elem(F, rng) for _ in range(d)) + (lead,))
+        images = []
         for f in polys:
-            assert la.mat_poly_eval(F, f, M) == _horner_by_loops(F, f, M)
-        power = la.identity(F, n)
-        for e in range(6):
-            assert la.mat_pow(F, M, e) == power
-            power = mat_mul_by_loops(F, power, M)
+            fM = _horner_by_loops(F, f, M)
+            assert la.mat_poly_eval(F, f, M) == fM
+            images.append(la.transpose(fM))
+        low = [i for i, f in enumerate(polys) if len(f) <= n]
+        at = la.krylov(F, M)
+        for t in range(n):
+            assert at(t, [polys[i] for i in low]) == (
+                tuple(images[i][t] for i in low))
         for k in sorted({0, 1, n}):
             S = _rand_over(F, rng, n, k)
             want = mat_mul_by_loops(F, la.transpose(S),

@@ -14,8 +14,8 @@ from quadpencil.poly import (poly_trim, poly_deg, poly_add, poly_sub,
 from quadpencil import linalg as la
 from quadpencil.ip2s import _target_roots
 
-from oracles import (as_generic, companion_matrix, pow_mod_by_squaring,
-                     trace_power_sums)
+from oracles import (as_generic, companion_matrix, irreducible_by_berlekamp,
+                     pow_mod_by_squaring, trace_power_sums)
 
 
 def _rand_poly(F, rng, deg):
@@ -124,6 +124,39 @@ def test_factor_product_property():
                 for _ in range(e):
                     prod = poly_mul(F, prod, g)
             assert prod == poly_monic(F, f)
+
+
+@pytest.mark.parametrize("p,planted", [
+    # the degrees canonicalize reaches on canon-f101 (n <= 48)
+    (101, ((2, 1), (46, 1))),
+    (101, ((18, 1), (30, 1))),
+    (101, ((1, 1),) * 35),
+    (101, ((2, 2), (12, 1), (1, 3), (1, 1))),
+    (3, ((6, 1),)), (3, ((7, 1),)), (3, ((2, 1), (2, 1), (2, 2))),
+    (3, ((3, 3),)), (3, ((5, 2),)), (3, ((4, 1), (4, 1), (1, 3))),
+    (3, ((12, 1),)),
+    (5, ((3, 1), (3, 1))), (5, ((7, 1),)), (5, ((1, 2), (2, 3))),
+    (5, ((9, 1),)), (5, ((4, 2), (2, 1))), (5, ((11, 1),)),
+    (5, ((6, 1), (6, 1))),
+])
+def test_factor_returns_the_planted_irreducibles(p, planted):
+    """poly_factor of a product of distinct irreducibles (degree d,
+    multiplicity m for each (d, m) planted) returns exactly them; each
+    is irreducible by Berlekamp's count as well as by is_irreducible."""
+    F = make_field(p)
+    rng = random.Random(p * 1000 + len(planted))
+    want, f = [], (F.one,)
+    for d, m in planted:
+        g = _rand_poly(F, rng, d)
+        while not is_irreducible(F, g) or g in [w for w, _ in want]:
+            g = _rand_poly(F, rng, d)
+        assert irreducible_by_berlekamp(p, g)
+        want.append((g, m))
+        for _ in range(m):
+            f = poly_mul(F, f, g)
+    got = poly_factor(F, f)
+    assert got == sorted(want, key=lambda gm: (len(gm[0]), gm[0]))
+    assert all(is_irreducible(F, g) for g, _ in got)
 
 
 @pytest.mark.parametrize("p", [101, 3])

@@ -290,6 +290,91 @@ def test_planted_blocks_recovered():
         assert got == want
 
 
+def _primary_by_nullspace(P):
+    """(factor, nullspace of f(c)^m) for each factor f^m of the
+    characteristic polynomial of c, one n x n kernel per place."""
+    F = P.ctx
+    c = regular.char_endomorphism(P)
+    out = []
+    for f, m in poly.poly_factor(F, la.charpoly(F, c)):
+        fm = poly.power(lambda a, b: poly.poly_mul(F, a, b), f, m, None)
+        out.append((f, la.nullspace(F, la.mat_poly_eval(F, fm, c),
+                                    ncols=P.n)))
+    return out
+
+
+def test_primary_split_bases_are_the_kernels(monkeypatch):
+    """primary_split reads each component off Krylov rows, and returns
+    the basis nullspace(f(c)^m) does, on cyclic c (random pencils) and
+    on pencils where c is not cyclic, or e_0 misses some components, so
+    that further starts are needed."""
+    F, F9 = make_field(101), make_field(3, 2)
+    rng = random.Random(62)
+    pencils = [(sp.rand_regular_pencil(F, rng, n), False)
+               for n in (8, 13, 21, 32)]
+    pencils += [(sp.rand_regular_pencil(F9, rng, n), False) for n in (4, 9)]
+    # block diagonal: e_0 lies inside the first component
+    pencils.append((regular.assemble_blocks(F, (), (
+        ((3, 1), 2, False), ((99, 0, 1), 1, True), ((7, 1), 1, False),
+        ((3, 1), 1, True))), True))
+    B = sp.rand_regular_pencil(F, rng, 6).b_inf
+    pencils += [
+        # two equal ell = 1 layers at one place
+        (sp.planted_pencil(F, rng, (), (((4, 1), 1, False),) * 2
+                           + (((9, 1), 1, True),))[0], True),
+        # ell = 2 plus ell = 1 at one place, over F_101 and GF(9)
+        (sp.planted_pencil(F, rng, (), (((4, 1), 2, True),
+                                        ((4, 1), 1, False)))[0], True),
+        (sp.planted_pencil(F9, rng, (), (((F9.one, F9.one), 2, False),
+                                         ((F9.one, F9.one), 1, True)))[0],
+         True),
+        # a scalar pencil, B_0 = 5 B_inf: every start spans one dimension
+        (Pencil.make(F, B, la.mat_scale(F, 5, B)), True),
+    ]
+    starts = []
+    real = la.krylov
+
+    def counted(F, M):
+        images = real(F, M)
+
+        def at(t, polys):
+            starts.append(t)
+            return images(t, polys)
+
+        return at
+
+    monkeypatch.setattr(la, "krylov", counted)
+    for P, more in pencils:
+        starts.clear()
+        got = regular.primary_split(P)
+        assert [(f, b) for f, b, _ in got] == _primary_by_nullspace(P)
+        if more:
+            assert max(starts) > 0
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_primary_split_pivots_are_linear_in_n(n, monkeypatch):
+    """With n distinct rational places, primary_split makes at most 3n
+    rref pivots (n invert B_inf, one finds each component), where one
+    kernel of f(c) per place made n^2."""
+    F = make_field(101)
+    rng = random.Random(63 + n)
+    places = rng.sample(range(F.p), n)
+    P, _ = sp.planted_pencil(F, rng, (), tuple(
+        ((c, 1), 1, rng.random() < 0.5) for c in places))
+    pivots = []
+    real = la._rref_array
+
+    def counted(F, M):
+        R, piv = real(F, M)
+        pivots.append(len(piv))
+        return R, piv
+
+    monkeypatch.setattr(la, "_rref_array", counted)
+    assert len(regular.primary_split(P)) == n
+    assert sum(pivots) <= 3 * n
+
+
 def test_local_structure_orbit():
     # planted primary blocks at rational places and at places of degree
     # 2 and 3, with layers of order up to 3 and generators of mixed
