@@ -20,9 +20,12 @@ carries `red_rows`, the rows x^t mod f for t < 2k - 1: they reduce a
 product's convolution, and row a of the matrix of multiplication by b,
 which `linalg` multiplies by, is b times rows a to a + k - 1.
 
-`field_sqrt` is Tonelli-Shanks with one exponentiation per root: the
-field caches q - 1 = 2^s t and z^t for its first non-square z, and a
-non-square shows up inside the loop, as x^t of order 2^s.
+`field_sqrt_class` is Tonelli-Shanks with one exponentiation per
+element, square or not: the field caches q - 1 = 2^s t, z^t for its
+first non-square z, and z^(-(t + 1)/2) and z^(-t).  A non-square x shows
+up inside the loop, as x^t of order 2^s; those two factors then turn
+the state of x into that of x / z, so the same exponentiation yields a
+root of x / z.  `field_sqrt` is its answer for squares, None otherwise.
 """
 
 from __future__ import annotations
@@ -315,32 +318,43 @@ def field_nonsquare(ctx):
     return ctx._nonsquare
 
 
-def field_sqrt(ctx, x):
-    """Square root with the lexicographically smaller representative, or
-    None when x is a non-square.  Odd characteristic only."""
+def field_sqrt_class(ctx, x):
+    """(s, nonsquare): s^2 = x, or s^2 = x / Delta when x is a non-square,
+    Delta = field_nonsquare(ctx); s is the smaller root by sort_key.  One
+    exponentiation either way.  Odd characteristic only."""
     if ctx.p == 2:
         raise ValueError("square roots unsupported in characteristic 2")
     if ctx.is_zero(x):
-        return x
-    # Tonelli-Shanks with q - 1 = 2^s t, t odd, and z the first non-square
+        return x, False
+    # Tonelli-Shanks with q - 1 = 2^s t, t odd, and z = Delta
     if ctx._tonelli is None:
         s, t = 0, ctx.q - 1
         while t % 2 == 0:
             s, t = s + 1, t // 2
-        ctx._tonelli = (s, t, ctx.pow(field_nonsquare(ctx), t))
-    m, t, c = ctx._tonelli
+        z = field_nonsquare(ctx)
+        w = ctx.pow(z, (t - 1) // 2)
+        zr = ctx.mul(z, w)
+        zt = ctx.mul(zr, w)
+        # z^t, then z^(-(t + 1)/2) and z^(-t), which move r and u below
+        # to those of x / z
+        ctx._tonelli = (s, t, zt, ctx.inv(zr), ctx.inv(zt))
+    m, t, c, zr_inv, zt_inv = ctx._tonelli
     # the one exponentiation: r = x^((t + 1)/2) and u = x^t
     w = ctx.pow(x, (t - 1) // 2)
     r = ctx.mul(x, w)
     u = ctx.mul(r, w)
+    nonsquare = False
     while u != ctx.one:
         i, v = 0, u
         while v != ctx.one:
             v = ctx.mul(v, v)
             i += 1
         if i == m:
-            # u = x^t has order 2^s exactly when x is a non-square
-            return None
+            # u = x^t has order 2^s exactly when x is a non-square; x / z
+            # is a square, so this happens at most once
+            nonsquare = True
+            r, u = ctx.mul(r, zr_inv), ctx.mul(u, zt_inv)
+            continue
         b = c
         for _ in range(m - i - 1):
             b = ctx.mul(b, b)
@@ -350,7 +364,14 @@ def field_sqrt(ctx, x):
         r = ctx.mul(r, b)
     # of the two roots the smaller by sort_key, which is also the first
     # in elements() order
-    return min(r, ctx.neg(r), key=ctx.sort_key)
+    return min(r, ctx.neg(r), key=ctx.sort_key), nonsquare
+
+
+def field_sqrt(ctx, x):
+    """Square root with the lexicographically smaller representative, or
+    None when x is a non-square.  Odd characteristic only."""
+    s, nonsquare = field_sqrt_class(ctx, x)
+    return None if nonsquare else s
 
 
 def make_field(p, degree=1, modulus=None):

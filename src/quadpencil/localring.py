@@ -3,6 +3,9 @@
 Elements are tuples of K-elements of fixed length ell, coefficient of
 pi^0 first.  The ring context mirrors the field interface closely enough
 that the generic polynomial and elimination routines apply unchanged.
+ring_sqrt returns the square class of a unit with a root of it or of it
+over the canonical non-square, from one square root in K and, when
+ell > 1, one Hensel lift.
 """
 
 from __future__ import annotations
@@ -139,14 +142,19 @@ def hensel_root(R, g, x0):
 
 
 def ring_sqrt(R, a):
-    """Square root of a unit square in odd characteristic, lifted from the
-    canonical residue-field root; None for residue non-squares."""
+    """(s, nonsquare) for a unit a in odd characteristic: s^2 = a, or
+    s^2 = a / Delta when the residue of a is a non-square, Delta the
+    canonical non-square of K.  s is lifted from the smaller residue
+    root, which one exponentiation finds in either case; at ell = 1 that
+    root is already exact, so no lift runs."""
     if R.K.p == 2:
         raise ValueError("square roots unsupported in characteristic 2")
     if not R.is_unit(a):
         raise ValueError("ring_sqrt expects a unit")
-    r0 = _field.field_sqrt(R.K, a[0])
-    if r0 is None:
-        return None
+    r0, nonsquare = _field.field_sqrt_class(R.K, a[0])
+    if R.ell == 1:
+        return (r0,), nonsquare
+    if nonsquare:
+        a = R.div(a, R.from_field(_field.field_nonsquare(R.K)))
     g = (R.neg(a), R.zero, R.one)
-    return hensel_root(R, g, R.from_field(r0))
+    return hensel_root(R, g, R.from_field(r0)), nonsquare

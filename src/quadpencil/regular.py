@@ -4,11 +4,16 @@ A regular pencil splits along the places of the projective line: the
 monic irreducible factors of its characteristic polynomial, plus a place
 at infinity carrying the part where the leading form degenerates.  The
 finite primary components are read off one Krylov matrix of c, with no
-kernel of an n x n matrix per place.  Each primary block is a module
-over a truncated local ring R_ell = K[pi]/(pi^ell) and the leading form
+kernel of an n x n matrix per place, and c on each of them off one
+product, so no block is inverted again.  Each primary block is a module
+over a truncated local ring R_ell = K[pi]/(pi^ell); a semisimple block
+(ell = 1, as at every place of multiplicity one) takes its generators
+from its orbit basis, with no kernel filtration.  The leading form
 descends, through the twisted trace Tr(xy/f'(zeta)), to a regular
-symmetric R-valued form on it.  Such forms split into free layers, and
-each layer is classified by its rank and a square-class character.
+symmetric R-valued form on the block.  Such forms split into free
+layers, and each layer is classified by its rank and a square-class
+character, read with the root of each diagonal entry from one
+exponentiation.
 Reassembling the classification data yields an exact congruence onto a
 block diagonal matrix built from twisted trace forms, which is a
 complete invariant.
@@ -65,14 +70,18 @@ def infinite_split(P, w):
 
 def primary_split(P):
     """Factor the characteristic polynomial of c and return the list of
-    (factor, basis of its primary component, restriction of P to it), in
-    factor order.  Requires B_inf invertible; components are orthogonal
-    for both forms.
+    (factor, basis of its primary component, c on it, restriction of P
+    to it), in factor order.  Requires B_inf invertible; components are
+    orthogonal for both forms.  c on a component is the matrix of c in
+    its basis, which is also char_endomorphism of the restriction.
 
     With g = cp / f^m, g(c) maps V onto the component of f^m and kills
     the others, so the vectors (x^j g)(c) e_t, j < deg f^m, read off the
     Krylov rows of e_t, span it for enough starts e_0, e_1, ...: one
-    where c is cyclic.  Each basis is the one nullspace(f(c)^m) returns."""
+    where c is cyclic.  Each basis is the one nullspace(f(c)^m) returns,
+    so its vector for a free column is 1 there and 0 at the other free
+    columns: c on every component is one product c V^t, read at the
+    free columns of that component's basis."""
     F = P.ctx
     c = char_endomorphism(P)
     cp = _la.charpoly(F, c)
@@ -100,11 +109,19 @@ def primary_split(P):
         raise AssertionError("primary component has wrong dimension")
     if sum(len(b) for b in bases) != P.n:
         raise AssertionError("primary components do not fill the space")
-    parts = orthogonal_parts(P, _la.transpose(sum(bases, ())),
-                             [len(b) for b in bases])
+    vt = _la.transpose(sum(bases, ()))
+    parts = orthogonal_parts(P, vt, [len(b) for b in bases])
     if parts is None:
         raise AssertionError("primary components not orthogonal")
-    return list(zip(factors, bases, parts))
+    # c v_k = sum_a c_(a, k) v_a, read at the free column of v_a: the last
+    # nonzero entry of v_a, as kernel_basis reverses the columns
+    cv = _la.mat_mul(F, c, vt)
+    cs, lo = [], 0
+    for b in bases:
+        free = [max(i for i, e in enumerate(v) if e != F.zero) for v in b]
+        cs.append(tuple(cv[i][lo:lo + len(b)] for i in free))
+        lo += len(b)
+    return list(zip(factors, bases, cs, parts))
 
 
 # -- local structure of one primary block --------------------------------
@@ -127,11 +144,17 @@ def _orbit(F, x, pi, G, d, depth):
     as the columns of one matrix, ordered by g, then j, then i: the order
     of an R-element's coefficients c_{j,i} of pi^j zeta^i."""
     r = len(G[0])
-    xs = [G]
-    for _ in range(d - 1):
-        xs.append(_la.mat_mul(F, x, xs[-1]))
-    # column i r + s of stage j is x^i pi^j g_s
-    stages = [tuple(sum(rows, ()) for rows in zip(*xs))]
+    # column i r + s of stage j is x^i pi^j g_s.  The x^i g, i < d, come
+    # by doubling, as in krylov: x^k times the first k blocks gives the
+    # next k, so ceil(log2 d) products and the squarings of x between
+    xs, xk, k = G, x, 1
+    while k < d:
+        xs = _la.hstack(xs, _la.mat_mul(
+            F, xk, tuple(row[:(d - k) * r] for row in xs)))
+        k *= 2
+        if k < d:
+            xk = _la.mat_mul(F, xk, xk)
+    stages = [xs]
     for _ in range(depth - 1):
         stages.append(_la.mat_mul(F, pi, stages[-1]))
     return tuple(tuple(stage[a][i * r + s] for s in range(r)
@@ -139,20 +162,22 @@ def _orbit(F, x, pi, G, d, depth):
                  for a in range(len(G)))
 
 
-def local_structure(block, f):
-    """Module structure of a primary block over R_ell = K[pi]/(pi^ell):
-    splits c into an exact root of f plus a commuting nilpotent, then
-    extracts module generators by kernel filtration over K."""
+def local_structure(block, f, c):
+    """Module structure of a primary block over R_ell = K[pi]/(pi^ell),
+    from c = char_endomorphism(block) (primary_split has it): splits c
+    into an exact root of f plus a commuting nilpotent, then extracts
+    module generators by kernel filtration over K.  A semisimple block,
+    f(c) = 0, has pi = 0 and ell = 1: its generators are the starts of
+    the orbit basis, and no filtration runs."""
     F = block.ctx
     nf = block.n
     d = _poly.poly_deg(f)
     if d <= 0 or nf % d:
         raise ValueError("factor does not match the block dimension")
     m = nf // d
-    c = char_endomorphism(block)
     fp = _poly.poly_deriv(F, f)
     x = c
-    for _ in range(max(m, 1).bit_length() + 2):
+    for step in range(max(m, 1).bit_length() + 2):
         v = _la.mat_poly_eval(F, f, x)
         if all(e == F.zero for row in v for e in row):
             break
@@ -177,6 +202,12 @@ def local_structure(block, f):
     if len(cols) != nf:
         raise AssertionError("orbit basis does not span the block")
     M = _la.transpose(tuple(cols))
+    if step == 0:
+        # pi = 0: every start generates a free R_1-module, and M is the
+        # orbit of the starts in _orbit's order
+        gens = _la.identity(F, nf)
+        return LocalStructure(K, 1, x, pi, tuple(gens[t] for t in starts),
+                              (1,) * m, M)
     # column k of NK: the K-coordinates of pi e_t, t the start of the k-th
     # orbit, i.e. of column t of pi
     flat = _la.mat_solve(F, M, _la.submatrix(pi, range(nf), starts))
@@ -264,12 +295,11 @@ def split_free_layers(R, gram, orders):
     r, lo = len(orders), 0
     # the columns of W are the generators lo, lo + 1, ... in the original
     # ones, each made orthogonal to the layers split off before it
-    W = _la.identity(R, r)
+    W, G = _la.identity(R, r), gram
     out = []
     while lo < r:
         m = orders[lo]
         k = orders.count(m)
-        G = _la.congruent(R, gram, W)
         X = tuple(tuple(R.retract(R.div_pi(x, ell - m), m) for x in row)
                   for row in G[:k])
         Rm = _lr.LocalRing(K, m)
@@ -284,6 +314,7 @@ def split_free_layers(R, gram, orders):
             W = _la.mat_sub(R, tuple(row[k:] for row in W), _la.ring_mat_mul(
                 R, tuple(row[:k] for row in W),
                 tuple(tuple(map(R.lift_from, row)) for row in C)))
+            G = _la.congruent(R, gram, W)
     return out
 
 
@@ -350,11 +381,8 @@ def diagonalize_unit(R, A):
     DR = R.from_field(delta)
     dpos = []
     for i in range(r):
-        s = _lr.ring_sqrt(R, G[i][i])
-        if s is None:
-            s = _lr.ring_sqrt(R, R.div(G[i][i], DR))
-            if s is None:
-                raise AssertionError("diagonal entry in no square class")
+        s, nonsquare = _lr.ring_sqrt(R, G[i][i])
+        if nonsquare:
             dpos.append(i)
         si = R.inv(s)
         Tc[i] = [R.mul(x, si) for x in Tc[i]]
@@ -511,12 +539,13 @@ def _apply_ring_transform(F, st, T):
         for row in T for j in range(st.ell) for i in range(d)))
 
 
-def _process_place(block, f, cfull, place):
-    """Run one primary block through structure, descent, layer splitting
-    and diagonalization; returns canonical entries with columns mapped to
-    the ambient regular coordinates through cfull."""
+def _process_place(block, f, c, cfull, place):
+    """Run one primary block, with c = char_endomorphism(block), through
+    structure, descent, layer splitting and diagonalization; returns
+    canonical entries with columns mapped to the ambient regular
+    coordinates through cfull."""
     F = block.ctx
-    st = local_structure(block, f)
+    st = local_structure(block, f, c)
     R, gram = descend_bilinear(block, st)
     layers = split_free_layers(R, gram, st.orders)
     K, d = st.K, st.K.deg
@@ -557,12 +586,13 @@ def canonicalize(P):
         if wb:
             swapped = Pencil(F, W.n, W.b_0, W.b_inf)
             entries += _process_place(swapped, (F.zero, F.one),
+                                      char_endomorphism(swapped),
                                       _la.transpose(wb), INF)
         if wpb:
             Cwp = _la.transpose(wpb)
-            for f, vb, blk in primary_split(sub):
+            for f, vb, c, blk in primary_split(sub):
                 entries += _process_place(
-                    blk, f, _la.mat_mul(F, Cwp, _la.transpose(vb)), f)
+                    blk, f, c, _la.mat_mul(F, Cwp, _la.transpose(vb)), f)
     desc = canonical_assemble(F, kron, entries)
     achieved = apply_congruence(P, desc.transform)
     if achieved != desc.canonical:

@@ -1,12 +1,13 @@
 """Truncated local rings, Hensel lifting, and ring square roots."""
 
+import itertools
 import random
 
 import pytest
 
-from quadpencil.field import make_field
+from quadpencil.field import field_nonsquare, make_field
 from quadpencil.localring import LocalRing, hensel_root, ring_sqrt
-from quadpencil.poly import poly_eval
+from quadpencil.poly import is_irreducible, poly_eval
 
 from oracles import ring_elements, ring_rand
 
@@ -94,19 +95,45 @@ def test_hensel_on_cubic():
         assert hensel_root(R, g, x0) == r or poly_eval(R, g, r) == R.zero
 
 
+def _tower_over_gf9():
+    """GF(9)[t]/g for the first irreducible quadratic g, a field two
+    levels above its prime field."""
+    F9 = make_field(3, 2)
+    for g0, g1 in itertools.product(list(F9.elements()), repeat=2):
+        if is_irreducible(F9, (g0, g1, F9.one)):
+            return F9.extension((g0, g1, F9.one))
+    raise AssertionError("GF(9) has irreducible quadratics")
+
+
 def test_ring_sqrt_oracle_and_classes():
+    """ring_sqrt(R, a) = (s, nonsquare): nonsquare is the residue class of
+    a by K.is_square, s^2 is a or a / Delta exactly, and s lifts the
+    smaller residue root; exhaustively over small rings, on random units
+    over GF(101^5) and a tower over GF(9), at ell = 1 (no lift) and
+    ell > 1."""
     F = make_field(3)
     R = LocalRing(F, 3)
-    assert ring_sqrt(R, (1, 1, 0)) == (1, 2, 1)
-    # exhaustive: a unit has a root iff its residue is a square
-    for a in ring_elements(R):
-        if not R.is_unit(a):
-            continue
-        s = ring_sqrt(R, a)
-        if F.is_square(a[0]):
-            assert s is not None and R.mul(s, s) == a
-        else:
-            assert s is None
+    assert ring_sqrt(R, (1, 1, 0)) == ((1, 2, 1), False)
+    rng = random.Random(32)
+    cases = [(R, list(ring_elements(R))) for R in (
+        R, LocalRing(make_field(5), 2), LocalRing(make_field(3, 2), 2))]
+    for K in (make_field(101, 5), _tower_over_gf9()):
+        for ell in (1, 2):
+            R = LocalRing(K, ell)
+            cases.append((R, [ring_rand(R, rng) for _ in range(40)]))
+    for R, elems in cases:
+        K = R.K
+        DR = R.from_field(field_nonsquare(K))
+        classes = set()
+        for a in elems:
+            if not R.is_unit(a):
+                continue
+            s, nonsquare = ring_sqrt(R, a)
+            assert nonsquare == (not K.is_square(a[0]))
+            assert R.mul(s, s) == (R.div(a, DR) if nonsquare else a)
+            assert s[0] == min(s[0], K.neg(s[0]), key=K.sort_key)
+            classes.add(nonsquare)
+        assert classes == {False, True}
 
 
 def test_ring_sqrt_rejects_nonunit():

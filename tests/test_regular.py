@@ -230,6 +230,30 @@ def test_canonicalize_counts_every_congruence_class(p, n, orbits):
     assert len(congruence_class_representatives(p, n)) == orbits
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_ip1s_solves_every_pair_of_classes(n, monkeypatch):
+    """ip1s_solve(P, S^t Q S), S seeded random, over every ordered pair
+    (P, Q) of GL_n class representatives over F_3^n: a witness that
+    verify_ip1s accepts when P is Q, and None otherwise.  Most pencils
+    here are semisimple at every place.  Each pencil is canonicalized
+    once; the comparison and the witness check run on every pair."""
+    F = make_field(3)
+    rng = random.Random(67 + n)
+    reps = list(congruence_class_representatives(3, n).values())
+    seen = {}
+    real = regular.canonicalize
+    monkeypatch.setattr(regular, "canonicalize", lambda P: seen.get(P)
+                        or seen.setdefault(P, real(P)))
+    for Q in reps:
+        Qs = apply_congruence(Q, sp.rand_invertible(F, rng, n))
+        for P in reps:
+            S = ip1s_solve(P, Qs)
+            if P is Q:
+                assert S is not None and verify_ip1s(P, Qs, S)
+            else:
+                assert S is None
+
+
 def _fprime_at_root(F, f):
     """f'(zeta) in K = F[x]/f, zeta the class of x, for deg f >= 2."""
     K = F.extension(f)
@@ -307,7 +331,8 @@ def test_primary_split_bases_are_the_kernels(monkeypatch):
     """primary_split reads each component off Krylov rows, and returns
     the basis nullspace(f(c)^m) does, on cyclic c (random pencils) and
     on pencils where c is not cyclic, or e_0 misses some components, so
-    that further starts are needed."""
+    that further starts are needed.  The c it returns on a component is
+    char_endomorphism of the restricted pencil, exactly."""
     F, F9 = make_field(101), make_field(3, 2)
     rng = random.Random(62)
     pencils = [(sp.rand_regular_pencil(F, rng, n), False)
@@ -347,7 +372,9 @@ def test_primary_split_bases_are_the_kernels(monkeypatch):
     for P, more in pencils:
         starts.clear()
         got = regular.primary_split(P)
-        assert [(f, b) for f, b, _ in got] == _primary_by_nullspace(P)
+        assert [(f, b) for f, b, _, _ in got] == _primary_by_nullspace(P)
+        for _, _, c, block in got:
+            assert c == regular.char_endomorphism(block)
         if more:
             assert max(starts) > 0
 
@@ -375,6 +402,53 @@ def test_primary_split_pivots_are_linear_in_n(n, monkeypatch):
     assert sum(pivots) <= 3 * n
 
 
+def test_per_place_stage_redoes_no_work(monkeypatch):
+    """One canonicalize each of a random regular n = 32 pencil over
+    F_101, a planted singular n = 32 pencil with h = 4 and 23 rational
+    places, and a GF(9) n = 9 pencil with an INF place: c is built once
+    per primary_split and once for INF (never again per place), the
+    Tonelli-Shanks core runs once per diagonal entry, and hensel_root
+    runs once per diagonal entry of a layer with ell > 1, so never when
+    every layer has ell = 1."""
+    from quadpencil import field, localring
+
+    F, F9 = make_field(101), make_field(3, 2)
+    rng = random.Random(66)
+    a, b = (F9.one, F9.one), ((2, 0), F9.one)
+    g = next(f for f in ((u, (0, 1), F9.one) for u in F9.elements())
+             if poly.is_irreducible(F9, f))
+    pencils = [
+        sp.rand_regular_pencil(F, rng, 32),
+        sp.planted_pencil(F, rng, (4,), tuple(
+            ((c, 1), 1, rng.random() < 0.5)
+            for c in rng.sample(range(F.p), 23)))[0],
+        sp.planted_pencil(F9, rng, (), (
+            (INF, 2, True), (a, 1, False), (a, 1, True), (b, 2, False),
+            (b, 1, True), (g, 1, False)))[0],
+    ]
+    targets = ((regular, "char_endomorphism"), (regular, "primary_split"),
+               (field, "field_sqrt_class"), (localring, "hensel_root"))
+    counts = {}
+    for module, name in targets:
+        def counted(*args, name=name, real=getattr(module, name)):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    lifted = []
+    for P in pencils:
+        counts.update((name, 0) for _, name in targets)
+        desc = canonicalize(P)
+        blocks = desc.local_blocks
+        inf = any(blk.place is INF for blk in blocks)
+        assert counts["char_endomorphism"] == counts["primary_split"] + inf
+        assert counts["field_sqrt_class"] == sum(blk.mult for blk in blocks)
+        assert counts["hensel_root"] == sum(blk.mult for blk in blocks
+                                            if blk.ell > 1)
+        lifted.append(counts["hensel_root"])
+    assert lifted[0] == lifted[1] == 0 < lifted[2]
+
+
 def test_local_structure_orbit():
     # planted primary blocks at rational places and at places of degree
     # 2 and 3, with layers of order up to 3 and generators of mixed
@@ -394,7 +468,7 @@ def test_local_structure_orbit():
     for F, f, ells in cases:
         P, _ = sp.planted_pencil(F, rng, blocks=tuple(
             (f, ell, rng.random() < 0.5) for ell in ells))
-        st = regular.local_structure(P, f)
+        st = regular.local_structure(P, f, regular.char_endomorphism(P))
         d = len(f) - 1
         assert st.K.deg == d and st.ell == max(ells)
         assert list(st.orders) == sorted(ells, reverse=True)
@@ -421,10 +495,11 @@ def test_local_structure_rejects_wrong_factors():
     F = make_field(7)
     P, _ = sp.planted_pencil(F, random.Random(89), blocks=(
         ((6, 1), 2, False), ((6, 1), 1, True)))
+    c = regular.char_endomorphism(P)
     with pytest.raises(ValueError, match="nilpotent part fails to vanish"):
-        regular.local_structure(P, (5, 1))
+        regular.local_structure(P, (5, 1), c)
     with pytest.raises(ValueError, match="factor does not match"):
-        regular.local_structure(P, (1, 0, 1))
+        regular.local_structure(P, (1, 0, 1), c)
 
 
 def test_character_is_an_invariant():
@@ -519,7 +594,7 @@ def test_diagonalize_unit_ring_case():
         if not R.is_unit(det):
             continue
         T, flag = diagonalize_unit(R, A)
-        assert (flag == "1") == (ring_sqrt(R, det) is not None)
+        assert (flag == "D") == ring_sqrt(R, det)[1]
 
 
 def _congruence_by_loops(R, A, T):
