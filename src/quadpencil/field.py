@@ -6,19 +6,17 @@ All arithmetic goes through the context object, so matrices stay nested
 tuples that numpy can ingest.  Towers are allowed: an extension's base
 may itself be an extension.
 
-Scalar arithmetic takes one of four paths.  Prime fields use Python
-ints.  A degree-1 extension k[t]/(t - a), which every rational place of
-a pencil gives, hands mul, inv and pow to its base field.  An absolute
-extension GF(p^k) with q <= TABLE_MAX_Q multiplies, inverts and raises
-to powers through log/antilog tables, built on first use and kept on
-the field object (extension() keeps one object per modulus).  Larger
-extensions multiply by schoolbook convolution (an absolute one of degree
->= 3 by one np.convolve and the rows below), raise to powers by square
-and multiply, and invert by `poly.poly_xgcd`, which runs on int lists
-when the base is prime.  Every absolute extension of degree >= 2
-carries `red_rows`, the rows x^t mod f for t < 2k - 1: they reduce a
-product's convolution, and row a of the matrix of multiplication by b,
-which `linalg` multiplies by, is b times rows a to a + k - 1.
+Scalar arithmetic takes one of three paths.  Prime fields use Python
+ints.  An absolute extension GF(p^k) with q <= TABLE_MAX_Q multiplies,
+inverts and raises to powers through log/antilog tables, built on first
+use and kept on the field object (extension() keeps one object per
+modulus).  Other extensions multiply by schoolbook convolution (an
+absolute one of degree >= 3 by one np.convolve and the rows below),
+raise to powers by square and multiply, and invert by `poly.poly_xgcd`,
+which runs on int lists over a prime base.  Every absolute extension of
+degree >= 2 carries `red_rows`, the rows x^t mod f for t < 2k - 1: they
+reduce a product's convolution, and row a of the matrix of
+multiplication by b, which `linalg` uses, is b times rows a to a + k - 1.
 
 `field_sqrt_class` is Tonelli-Shanks with one exponentiation per
 element, square or not: the field caches q - 1 = 2^s t, z^t for its
@@ -164,8 +162,6 @@ class FiniteField:
     def mul(self, a, b):
         if self.prime:
             return a * b % self.p
-        if self.deg == 1:
-            return (self.base.mul(a[0], b[0]),)
         if self._small:
             if a == self.zero or b == self.zero:
                 return self.zero
@@ -222,8 +218,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         if self.prime:
             return pow(a, self.p - 2, self.p)
-        if self.deg == 1:
-            return (self.base.inv(a[0]),)
         if self._small:
             log = self._log or self._tables()
             return self._exp[self.q - 1 - log[a]]
@@ -241,8 +235,6 @@ class FiniteField:
             return self.pow(self.inv(a), -e)
         if self.prime:
             return pow(a, e, self.p)
-        if self.deg == 1:
-            return (self.base.pow(a[0], e),)
         if self._small and a != self.zero:
             log = self._log or self._tables()
             return self._exp[log[a] * e % (self.q - 1)]

@@ -28,14 +28,14 @@ when r is odd and eps(N) + ell k eps(s) is odd.
 Pinning is linear algebra over the base field.  "g = ((a, b), (d, e))
 sends (x0:x1) to (y0:y1)" is the condition (a x0 + b x1) y1 - (d x0 +
 e x1) y0 = 0, linear in the entries of g.  For a place of degree d, x is
-its root (the class of t) in K = F.extension(place) and y a root of the
-target place in K; the condition's d coordinates over F are d rows.  The
-target's roots in K are one root and its Frobenius conjugates.  The
-root of a quadratic target is read off one square root in F; over a
-prime F, that of a target t of degree d >= 3 off a primitive idempotent
-of F[z, y]/(p(z), t(y)), an algebra held as (d, d) int64 arrays.  The
-candidates for one choice of target roots are the invertible projective
-points of the nullspace of the stacked rows.
+its root (the class of t) in its residue field K, F itself when d = 1,
+and y a root of the target place in K; the condition's d coordinates
+over F are d rows.  The target's roots in K are one root and its
+Frobenius conjugates.  The root of a quadratic target is read off one
+square root in F; over a prime F, that of a target t of degree d >= 3
+off a primitive idempotent of F[z, y]/(p(z), t(y)), an algebra held as
+(d, d) int64 arrays.  The candidates for one choice of target roots are
+the invertible projective points of the nullspace of the stacked rows.
 
 The pinned places are the set S of at most three places that minimizes
 one cost: the product over S of deg(p) |class(p)| (the target roots to
@@ -63,7 +63,8 @@ from . import linalg as _la
 from . import poly as _poly
 from .field import field_nonsquare, field_sqrt
 from .pencil import BinaryForm, Homography, INF, twist
-from .regular import canonical_witness, canonicalize, place_key
+from .regular import (canonical_witness, canonicalize, coords, from_coords,
+                      place_key, residue_field)
 
 #: Hard ceiling on the intersected candidate set; beyond it the solver
 #: reports resource exhaustion rather than truncating.
@@ -148,14 +149,13 @@ def _homography_key(F, g):
 
 def _place_root(F, place):
     """(K, x): the field holding the roots of a place, and one root as a
-    projective point over it.  A rational place is a point of F, with INF
-    = (1:0); otherwise K = F.extension(place) and x is the class of t."""
+    projective point over it: INF is (1:0) over F, and another place's
+    root is the class of t in its residue field K (F at a rational one)."""
     if place is INF:
         return F, (F.one, F.zero)
-    if _poly.poly_deg(place) == 1:
-        return F, (F.neg(place[0]), F.one)
-    K = F.extension(place)
-    return K, ((F.zero, F.one) + (F.zero,) * (K.deg - 2), K.one)
+    K = residue_field(F, place)
+    t = _poly.poly_mod(F, _poly.poly_x(F), place)
+    return K, (from_coords(F, K, _poly.poly_pad(F, t, len(place) - 1)), K.one)
 
 
 def _target_roots(F, K, place):
@@ -235,7 +235,7 @@ def _pin_rows(F, K, x, y):
     (x0, x1), (y0, y1) = x, y
     coeffs = (K.mul(x0, y1), K.mul(x1, y1),
               K.neg(K.mul(x0, y0)), K.neg(K.mul(x1, y0)))
-    return (coeffs,) if K is F else tuple(zip(*coeffs))
+    return tuple(zip(*(coords(F, K, c) for c in coeffs)))
 
 
 def _combinations(F, lead, multiples):

@@ -127,9 +127,24 @@ def primary_split(P):
 # -- local structure of one primary block --------------------------------
 
 
+def residue_field(F, f):
+    """Residue field of the place f: F itself when f is linear, else F[x]/f."""
+    return F if _poly.poly_deg(f) == 1 else F.extension(f)
+
+
+def coords(F, K, a):
+    """Coordinates over F of an element a of K, in the basis zeta^i."""
+    return (a,) if K is F else a
+
+
+def from_coords(F, K, v):
+    """The element of the residue field K with coordinates v over F."""
+    return v[0] if K is F else v
+
+
 @dataclass(frozen=True)
 class LocalStructure:
-    K: object           # residue field k[x]/f
+    K: object           # residue field, F itself at a rational place
     ell: int            # nilpotency order of pi
     x: tuple            # semisimple part of c, an exact root of f
     pi: tuple           # pi = c - x, nilpotent and commuting with x
@@ -188,7 +203,7 @@ def local_structure(block, f, c):
     else:
         raise ValueError("newton iteration did not converge; wrong factor")
     pi = _la.mat_sub(F, c, x)
-    K = F.extension(f)
+    K = residue_field(F, f)
     # greedy K-basis: orbits of standard vectors under the x action
     cols, starts = [], []
     for t in range(nf):
@@ -211,8 +226,8 @@ def local_structure(block, f, c):
     # column k of NK: the K-coordinates of pi e_t, t the start of the k-th
     # orbit, i.e. of column t of pi
     flat = _la.mat_solve(F, M, _la.submatrix(pi, range(nf), starts))
-    NK = tuple(tuple(tuple(flat[j * d + a][k] for a in range(d))
-                     for k in range(m)) for j in range(m))
+    NK = tuple(tuple(from_coords(F, K, col[j * d:(j + 1) * d])
+                     for col in _la.transpose(flat)) for j in range(m))
     NKp = [_la.identity(K, m)]
     while any(e != K.zero for row in NKp[-1] for e in row):
         if len(NKp) > m + 1:
@@ -236,17 +251,18 @@ def local_structure(block, f, c):
     if sum(orders) != m:
         raise AssertionError("kernel filtration miscounts the module")
     G = _la.mat_mul(F, M, _la.transpose(tuple(
-        tuple(a for comp in v for a in comp) for _, vs in tops for v in vs)))
+        tuple(a for comp in v for a in coords(F, K, comp))
+        for _, vs in tops for v in vs)))
     return LocalStructure(K, ell, x, pi, _la.transpose(G), orders,
                           _orbit(F, x, pi, G, d, ell))
 
 
-def descend_bilinear(block, st):
+def descend_bilinear(block, f, st):
     """Descend the leading form through the twisted trace Tr(xy/f'(zeta))
-    to an R_ell-valued Gram matrix on the module generators.  Returns
-    (R, gram)."""
+    to an R_ell-valued Gram matrix on the module generators of st, the
+    local structure of the block at the place f.  Returns (R, gram)."""
     F, K, ell = block.ctx, st.K, st.ell
-    d, f = K.deg, K.modulus
+    d = _poly.poly_deg(f)
     R = _lr.LocalRing(K, ell)
     gens = st.generators
     r = len(gens)
@@ -266,8 +282,8 @@ def descend_bilinear(block, st):
                        for j in range(d)) for t in range(d))
     co = _la.mat_mul(F, hank, tuple(
         sum((tra[s * d + a] for s in range(r)), ()) for a in range(d)))
-    gram = tuple(tuple(tuple(tuple(co[a][(s * r + t) * ell + i]
-                                   for a in range(d)) for i in range(ell))
+    gram = tuple(tuple(tuple(from_coords(F, K, tuple(
+        co[a][(s * r + t) * ell + i] for a in range(d))) for i in range(ell))
                        for t in range(r)) for s in range(r))
     want = _la.congruent(F, block.b_inf, _la.transpose(gens))
     for s in range(r):
@@ -275,7 +291,7 @@ def descend_bilinear(block, st):
             if gram[s][t] != gram[t][s]:
                 raise AssertionError("descended form is not symmetric")
             # Tr(w / f'(zeta)) is the coefficient of zeta^(d-1) of w
-            if gram[s][t][ell - 1][d - 1] != want[s][t]:
+            if co[d - 1][(s * r + t) * ell + ell - 1] != want[s][t]:
                 raise AssertionError("descended form loses the trace")
     return R, gram
 
@@ -422,10 +438,10 @@ def canonical_local_block(F, place, ell, delta):
         return Pencil(F, P.n, P.b_0, P.b_inf)
     f = place
     d = _poly.poly_deg(f)
-    K = F.extension(f)
+    K = residue_field(F, f)
     # tv[a] = Tr(u zeta^a / f'(zeta)), by Euler's lemma the coefficient
     # of zeta^(d-1) of w = u zeta^a, and w zeta = shift(w) - w_(d-1) f
-    w = field_nonsquare(K) if delta else K.one
+    w = coords(F, K, field_nonsquare(K) if delta else K.one)
     tv = []
     for _ in range(2 * d):
         tv.append(w[-1])
@@ -533,10 +549,10 @@ def _apply_ring_transform(F, st, T):
     generators g of st, where an R_ell-element acts as sum_{j,i} c_{j,i}
     pi^j zeta^i: the orbit of st times the coefficients c_{j,i} of
     T[s][t] in row s ell d + j d + i."""
-    d = st.K.deg
     return _la.mat_mul(F, st.orbit, tuple(
-        tuple(row[t][j][i] for t in range(len(row)))
-        for row in T for j in range(st.ell) for i in range(d)))
+        cs for row in T for cs in _la.transpose(tuple(
+            tuple(c for x in Tst for c in coords(F, st.K, x))
+            for Tst in row))))
 
 
 def _process_place(block, f, c, cfull, place):
@@ -546,9 +562,9 @@ def _process_place(block, f, c, cfull, place):
     coordinates through cfull."""
     F = block.ctx
     st = local_structure(block, f, c)
-    R, gram = descend_bilinear(block, st)
+    R, gram = descend_bilinear(block, f, st)
     layers = split_free_layers(R, gram, st.orders)
-    K, d = st.K, st.K.deg
+    K, d = st.K, _poly.poly_deg(f)
     entries = []
     for m, coeffcols, layer_gram in layers:
         # T^t G T = diag(1, ..., 1, u) is the twisted trace form that

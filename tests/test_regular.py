@@ -49,8 +49,10 @@ def test_canonicalize_tests_each_modulus_once(monkeypatch):
     monkeypatch.setattr(poly, "is_irreducible", counted)
     for P in pencils:
         canonicalize(P)
-    assert sorted(seen) == sorted((id(F), f) for f in
-                                  ((0, 1), (2, 1), (1, 0, 1), (3, 1)))
+    # the rational places and INF take F itself as their residue field,
+    # so only the quadratic place builds, and tests, an extension
+    assert seen == [(id(F), (1, 0, 1))]
+    assert all(len(mod) > 2 for mod in F._extensions)
 
 
 def test_canonicalize_diagonalizes_each_layer_once(monkeypatch):
@@ -457,6 +459,7 @@ def test_local_structure_orbit():
     # vanish
     rng = random.Random(83)
     f3, f5, f7 = make_field(3), make_field(5), make_field(7)
+    f9 = make_field(3, 2)
     cases = [
         (f7, (6, 1), [1]),
         (f7, (6, 1), [3, 1, 2, 1]),
@@ -464,13 +467,16 @@ def test_local_structure_orbit():
         (f5, (2, 0, 1), [1, 1, 3]),
         (f3, (1, 2, 0, 1), [1]),
         (f3, (1, 2, 0, 1), [2, 1, 1]),
+        # rational places over GF(9): K is F, whose elements are tuples
+        (f9, ((1, 1), f9.one), [2, 1]),
+        (f9, ((2, 1), f9.one), [3, 1, 1]),
     ]
     for F, f, ells in cases:
         P, _ = sp.planted_pencil(F, rng, blocks=tuple(
             (f, ell, rng.random() < 0.5) for ell in ells))
         st = regular.local_structure(P, f, regular.char_endomorphism(P))
         d = len(f) - 1
-        assert st.K.deg == d and st.ell == max(ells)
+        assert st.K is regular.residue_field(F, f) and st.ell == max(ells)
         assert list(st.orders) == sorted(ells, reverse=True)
         want = []
         for g, order in zip(st.generators, st.orders):
@@ -486,6 +492,45 @@ def test_local_structure_orbit():
         basis = [v for live, v in want if live]
         assert len(basis) == P.n and la.rank(F, basis) == P.n
         assert all(v == (F.zero,) * P.n for live, v in want if not live)
+
+
+def test_rational_places_take_no_element_loop(monkeypatch):
+    """A rational place's residue field is F itself, so a pencil whose
+    places are all rational, with layers of several orders and both
+    characters at one place and at INF, runs every matrix step over F on
+    arrays: canonicalize makes no FiniteField.is_unit call (the pivot
+    test of the generic elimination) and no vec_dot over a field, over
+    F_101 and over GF(9), and returns the planted blocks."""
+    from quadpencil.field import FiniteField
+    from quadpencil.regular import LocalBlockDesc
+
+    counts = {"is_unit": 0, "vec_dot": 0}
+    real_unit, real_dot = FiniteField.is_unit, la.vec_dot
+
+    def is_unit(self, a):
+        counts["is_unit"] += 1
+        return real_unit(self, a)
+
+    def vec_dot(F, u, v):
+        counts["vec_dot"] += isinstance(F, FiniteField)
+        return real_dot(F, u, v)
+
+    monkeypatch.setattr(FiniteField, "is_unit", is_unit)
+    monkeypatch.setattr(la, "vec_dot", vec_dot)
+    rng = random.Random(27)
+    f9 = make_field(3, 2)
+    for F, f in ((make_field(101), (96, 1)), (f9, ((1, 1), f9.one))):
+        P, _ = sp.planted_pencil(F, rng, (), (
+            (f, 2, True), (f, 2, False), (f, 3, False), (f, 1, True),
+            (INF, 2, False), (INF, 1, True)))
+        counts.update(is_unit=0, vec_dot=0)
+        desc = canonicalize(P)
+        assert counts == {"is_unit": 0, "vec_dot": 0}
+        assert desc.kronecker_indices == ()
+        assert desc.local_blocks == tuple(
+            LocalBlockDesc(place, ell, 1, char) for place, ell, char in (
+                (INF, 1, "D"), (INF, 2, "1"), (f, 1, "D"), (f, 2, "1"),
+                (f, 2, "D"), (f, 3, "1")))
 
 
 def test_local_structure_rejects_wrong_factors():
