@@ -4,8 +4,13 @@ to the canonical Kronecker blocks K_h.
 A chain e_0..e_h satisfies B_0 e_0 = 0, B_0 e_i + B_inf e_{i-1} = 0 and
 B_inf e_h = 0.  Splitting one off realizes the 2h+1 dimensional Kronecker
 module as an orthogonal direct factor; iterating strips the whole
-singular part and leaves a regular pencil, whose stable kernel tower of
-B_inf (its infinite place) the last chain search leaves in the report.
+singular part and leaves a regular pencil.  Each chain search eliminates
+B_inf once, as [B_inf | I], and reads every level of its walk off that
+one reduction; the last search leaves in the report the stable kernel
+tower of B_inf on the regular part (its infinite place) and, when that
+tower is empty, B_inf^{-1}.  The coupling of a chain's module to the
+rest is cleared by a block-bidiagonal staircase solved one block column
+at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ class KroneckerReport:
     transform: tuple      # congruence to block-diag(K_h..., regular_part)
     regular_part: Pencil
     inf_tower: tuple      # stable kernel tower of B_inf on regular_part
+    inf_inverse: tuple    # B_inf^-1 on regular_part when inf_tower is ()
 
 
 def kh_matrix(F, h):
@@ -69,35 +75,59 @@ def chain_ok(P, c):
 
 
 def minimal_chain(P):
-    """(chain, tower): a minimal isotropic chain, or None when the pencil
-    is regular, and the last level of the walk that looked for it.
+    """(chain, tower, inverse): a minimal isotropic chain, or None when
+    the pencil is regular; the last level of the walk that looked for
+    it; and B_inf^{-1} when that level is (), else None.
 
     The walk builds H_0 = Ker B_inf, H_{j+1} = B_inf^{-1}(B_0 H_j), each
     level kept with its image B_0 H_j; the minimal index is the first h
     with H_h meeting Ker B_0, and the chain is recovered by
     back-substitution down the tower.  Without one the walk ends at the
     fixpoint, the stable kernel tower of B_inf: () when B_inf is
-    invertible.  Deterministic: canonical kernel bases throughout."""
+    invertible.  B_inf is eliminated once, as [B_inf | I] to
+    [rref(B_inf) | E]: H_0 is read off the left block, each later level
+    off E (see _preimage), and E is B_inf^{-1} when B_inf is invertible.
+    Deterministic: canonical kernel bases throughout."""
     F, n = P.ctx, P.n
-    H = _la.nullspace(F, P.b_inf, ncols=n)
-    if not H:
-        return None, ()
+    R, pivots = _la.rref(F, _la.hstack(P.b_inf, _la.identity(F, n)))
+    E = tuple(row[n:] for row in R)
+    pivots = tuple(c for c in pivots if c < n)
+    if len(pivots) == n:
+        return None, (), E
+    ker = _la.rref_kernel(F, R, pivots, n)
+    H = ker
     history = []
     while True:
         if history and len(H) == len(history[-1][0]):
-            return None, H  # fixpoint without isotropic vector: regular
+            return None, H, None  # fixpoint without isotropic vector
         img = _la.mat_mul(F, P.b_0, _la.transpose(H))
         history.append((H, img))
         # intersection of span(H) with Ker B_0
         coeffs = _la.nullspace(F, img)
         if coeffs:
             u = _la.mat_mul(F, coeffs[:1], H)[0]
-            return _chain_from_tail(P, history, u), H
+            return _chain_from_tail(P, history, u), H, None
         if len(history) > n:
             raise AssertionError("chain search failed to stabilize")
-        # the v with B_inf v in the column span of img
-        A = _la.hstack(P.b_inf, _la.mat_neg(F, img))
-        H = _la.span_basis(F, [v[:n] for v in _la.nullspace(F, A)])
+        H = _preimage(F, E, pivots, ker, img)
+
+
+def _preimage(F, E, pivots, ker, img):
+    """Canonical basis of the v with B_inf v in the column span of img,
+    from E B_inf = rref(B_inf), its pivot columns and ker = Ker B_inf.
+    B_inf v = img t exactly when rref(B_inf) v = E img t: the rows of
+    E img past the rank r must vanish on t, an (n - r) x k kernel, and
+    then v is E img t at the pivot columns, zero elsewhere, plus a
+    vector of ker."""
+    r = len(pivots)
+    Y = _la.mat_mul(F, E, img)
+    vs = []
+    for t in _la.mat_mul(F, _la.nullspace(F, Y[r:]), _la.transpose(Y[:r])):
+        v = [F.zero] * len(E)
+        for c, x in zip(pivots, t):
+            v[c] = x
+        vs.append(tuple(v))
+    return _la.span_basis(F, ker + tuple(vs))
 
 
 def _chain_from_tail(P, history, u_h):
@@ -162,27 +192,10 @@ def _staircase_correction(P, es, fs, gs):
     Binf = _la.submatrix(T.b_inf, gi, gi)
     B0 = _la.submatrix(T.b_0, gi, gi)
     # rows z_0..z_{h-1} (length m) with B'_inf z_j - B'_0 z_{j-1} = rhs_j
-    if h >= 2:
-        big = []
-        rhs = []
-        for j in range(1, h):
-            row_blocks = []
-            for s in range(h):
-                if s == j - 1:
-                    row_blocks.append(_la.mat_neg(F, B0))
-                elif s == j:
-                    row_blocks.append(Binf)
-                else:
-                    row_blocks.append(_la.zeros(F, m, m))
-            for r in range(m):
-                big.append(tuple(x for blk in row_blocks for x in blk[r]))
-                rhs.append(F.sub(C0[j - 1][r], Cinf[j][r]))
-        z = _la.solve(F, tuple(big), tuple(rhs))
-        if z is None:
-            raise AssertionError("staircase unsolvable: chain not minimal")
-        zrows = tuple(z[s * m:(s + 1) * m] for s in range(h))
-    else:
-        zrows = _la.zeros(F, h, m)
+    zrows = _la.solve_bidiagonal(F, _la.mat_neg(F, B0), Binf,
+                                 _la.mat_sub(F, C0[:-1], Cinf[1:]))
+    if zrows is None:
+        raise AssertionError("staircase unsolvable: chain not minimal")
     # B'_inf and B'_0 are symmetric, so row j of zrows B' is B' z_j
     bz = _la.mat_mul(F, zrows, Binf) + _la.mat_mul(F, zrows[-1:], B0)
     xrows = [tuple(F.neg(F.add(x, y)) for x, y in zip(crow, brow))
@@ -262,7 +275,9 @@ def _alternating(F, M):
 
 def kronecker_decompose(P):
     """Strip all Kronecker blocks; returns indices (ascending), the full
-    congruence, and the regular complement with its B_inf tower."""
+    congruence, and the regular complement with its B_inf tower and,
+    when that tower is empty, its B_inf^{-1}, all as the last chain
+    search leaves them."""
     F, n = P.ctx, P.n
     if F.p == 2 and not (_alternating(F, P.b_inf) and _alternating(F, P.b_0)):
         raise ValueError("characteristic 2 requires alternating matrices")
@@ -271,7 +286,7 @@ def kronecker_decompose(P):
     indices = []
     cur = P
     while True:
-        c, tower = minimal_chain(cur)
+        c, tower, inverse = minimal_chain(cur)
         if c is None:
             break
         vectors, module, comp = split_kronecker(cur, c)
@@ -286,10 +301,11 @@ def kronecker_decompose(P):
     if indices != sorted(indices):
         raise AssertionError("Kronecker indices were stripped out of order")
     S_total = _la.transpose(cols)
-    report = KroneckerReport(tuple(indices), S_total, cur, tower)
-    final = apply_congruence(P, S_total)
-    blocks = [kh_matrix(F, h) for h in indices] + [cur]
-    if (final.b_inf != _la.block_diag(F, [K.b_inf for K in blocks])
-            or final.b_0 != _la.block_diag(F, [K.b_0 for K in blocks])):
-        raise AssertionError("decomposition does not reassemble the input")
-    return report
+    if indices:  # otherwise S_total is I and the regular part is P
+        final = apply_congruence(P, S_total)
+        blocks = [kh_matrix(F, h) for h in indices] + [cur]
+        if (final.b_inf != _la.block_diag(F, [K.b_inf for K in blocks])
+                or final.b_0 != _la.block_diag(F, [K.b_0 for K in blocks])):
+            raise AssertionError("decomposition does not reassemble the "
+                                 "input")
+    return KroneckerReport(tuple(indices), S_total, cur, tower, inverse)

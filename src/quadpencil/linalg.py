@@ -4,8 +4,8 @@ Matrices are tuples of row tuples of elements; vectors are tuples, and a
 matrix times a vector is a product with a one-column or one-row matrix.
 The products, `congruent`, `mat_poly_eval`, `krylov`, `rref` (and
 through it `rank`, `nullspace`, `kernel_basis`, `mat_solve`, `inv`,
-`span_basis` and `greedy_extend`) and `charpoly` take one of two paths,
-chosen by the context:
+`span_basis`, `greedy_extend` and `solve_bidiagonal`) and `charpoly`
+take one of two paths, chosen by the context:
 
 * finite fields F_p and GF(p^k) run numpy int64 kernels on element
   arrays, of shape (r, c) over F_p and (r, c, k) over GF(p^k), where an
@@ -291,8 +291,13 @@ def nullspace(F, A, ncols=None):
     """Canonical kernel basis (one vector per free column, ascending)."""
     if not A:
         return identity(F, ncols or 0)
-    R, pivots = rref(F, A)
-    nc = len(A[0])
+    return rref_kernel(F, *rref(F, A), len(A[0]))
+
+
+def rref_kernel(F, R, pivots, nc):
+    """The basis nullspace returns, read off a reduced row echelon form:
+    the first nc columns of R, with their pivot columns, so that the
+    left block of a wider rref serves as well."""
     pivset = set(pivots)
     out = []
     for c in range(nc):
@@ -334,6 +339,48 @@ def mat_solve(F, A, B):
     for r, c in enumerate(pivots):
         X[c] = list(R[r][nc:])
     return _freeze(X)
+
+
+def solve_bidiagonal(F, L, D, rhs):
+    """z_0 .. z_s with L z_j + D z_(j+1) = rhs[j] for j < s = len(rhs),
+    L and D square of size m: the solution that solve gives on the dense
+    s m x (s + 1) m system (free coordinates zero), as s + 1 rows, or
+    None when there is none.
+
+    That solution depends only on the pivot columns, and no row
+    operation moves them, so the system is reduced one block column at a
+    time, at O(s m^3): block row j meets z_j and z_(j+1) only, and its
+    rows that find no pivot in z_j, together with the rows carried into
+    it, are carried on as rows in z_(j+1).  One path for every field:
+    each step is one rref of at most 2m x (2m + 1) and one product."""
+    m = len(D)
+    zero = (F.zero,) * m
+    band = tuple(a + d for a, d in zip(L, D))
+    carry, steps, last = (), [], ()
+    for b in rhs:
+        R, pivots = rref(F, carry + tuple(
+            row + (x,) for row, x in zip(band, b)))
+        if pivots and pivots[-1] == 2 * m:
+            return None
+        k = sum(c < m for c in pivots)
+        # rows with a pivot in z_j keep their z_(j+1) part and rhs entry
+        steps.append((pivots[:k], tuple(row[m:] for row in R[:k])))
+        carry = tuple(row[m:2 * m] + zero + row[2 * m:]
+                      for row in R[k:len(pivots)])
+        last = tuple(c - m for c in pivots[k:])
+    z = [F.zero] * m
+    for c, row in zip(last, carry):
+        z[c] = row[2 * m]
+    zs = [tuple(z)]
+    for pivots, R in reversed(steps):
+        z = [F.zero] * m
+        if R:
+            rz = mat_mul(F, tuple(row[:m] for row in R),
+                         transpose(zs[-1:]))
+            for c, row, (y,) in zip(pivots, R, rz):
+                z[c] = F.sub(row[m], y)
+        zs.append(tuple(z))
+    return tuple(reversed(zs))
 
 
 def inv(F, A):

@@ -35,13 +35,16 @@ from .pencil import (INF, Pencil, apply_congruence, emit_matrix,
 # -- primary decomposition ----------------------------------------------
 
 
-def char_endomorphism(P):
+def char_endomorphism(P, binv=None):
     """c = -B_inf^{-1} B_0, the endomorphism whose polynomial structure
-    drives the finite places.  B_inf c is symmetric."""
+    drives the finite places.  B_inf c is symmetric.  binv, when the
+    caller has it (the chain walk leaves it), is B_inf^{-1}, and c costs
+    one product."""
     F = P.ctx
-    binv = _la.inv(F, P.b_inf)
     if binv is None:
-        raise ValueError("leading form is singular")
+        binv = _la.inv(F, P.b_inf)
+        if binv is None:
+            raise ValueError("leading form is singular")
     return _la.mat_neg(F, _la.mat_mul(F, binv, P.b_0))
 
 
@@ -51,7 +54,8 @@ def infinite_split(P, w):
     W' its B_0-orthogonal (finite places, B_inf invertible there).
     Returns ((w, W), (basis_wp, W')), each basis a tuple of row vectors
     and each pencil the restriction of P to it.  Raises on singular
-    pencils."""
+    pencils.  canonicalize calls it only when w is not empty: an empty
+    tower means W = 0, and W' is the whole pencil in its own basis."""
     F, n = P.ctx, P.n
     # B_0 is symmetric, so row i of w B_0 is B_0 w_i
     wp = _la.nullspace(F, _la.mat_mul(F, w, P.b_0), ncols=n)
@@ -68,12 +72,13 @@ def infinite_split(P, w):
     return (w, parts[0]), (wp, parts[1])
 
 
-def primary_split(P):
+def primary_split(P, binv=None):
     """Factor the characteristic polynomial of c and return the list of
     (factor, basis of its primary component, c on it, restriction of P
-    to it), in factor order.  Requires B_inf invertible; components are
-    orthogonal for both forms.  c on a component is the matrix of c in
-    its basis, which is also char_endomorphism of the restriction.
+    to it), in factor order.  Requires B_inf invertible (binv, when
+    given, is its inverse); components are orthogonal for both forms.
+    c on a component is the matrix of c in its basis, which is also
+    char_endomorphism of the restriction.
 
     With g = cp / f^m, g(c) maps V onto the component of f^m and kills
     the others, so the vectors (x^j g)(c) e_t, j < deg f^m, read off the
@@ -83,7 +88,7 @@ def primary_split(P):
     columns: c on every component is one product c V^t, read at the
     free columns of that component's basis."""
     F = P.ctx
-    c = char_endomorphism(P)
+    c = char_endomorphism(P, binv)
     cp = _la.charpoly(F, c)
     factors, polys = [], []
     for f, m in _poly.poly_factor(F, cp):
@@ -534,10 +539,14 @@ def canonical_assemble(F, kron, entries):
         cols.extend(e.columns)
     if len(cols) != kron.regular_part.n:
         raise AssertionError("local columns do not fill the regular part")
-    # only the regular columns of kron.transform move, to the local ones
-    nk = sum(2 * h + 1 for h in kron.indices)
-    total = _la.hstack(tuple(row[:nk] for row in kron.transform), _la.mat_mul(
-        F, tuple(row[nk:] for row in kron.transform), _la.transpose(cols)))
+    # only the regular columns of kron.transform move, to the local ones;
+    # with no Kronecker block, kron.transform is I
+    total = _la.transpose(cols)
+    if kron.indices:
+        nk = sum(2 * h + 1 for h in kron.indices)
+        total = _la.hstack(tuple(row[:nk] for row in kron.transform),
+                           _la.mat_mul(F, tuple(row[nk:] for row
+                                                in kron.transform), total))
     return CanonicalDescriptor(kron.indices, tuple(blocks), total, canon)
 
 
@@ -595,20 +604,20 @@ def canonicalize(P):
     if F.p == 2:
         raise ValueError("odd characteristic required")
     kron = kronecker_decompose(P)
-    reg = kron.regular_part
-    entries = []
-    if reg.n:
-        (wb, W), (wpb, sub) = infinite_split(reg, kron.inf_tower)
-        if wb:
-            swapped = Pencil(F, W.n, W.b_0, W.b_inf)
-            entries += _process_place(swapped, (F.zero, F.one),
-                                      char_endomorphism(swapped),
-                                      _la.transpose(wb), INF)
-        if wpb:
-            Cwp = _la.transpose(wpb)
-            for f, vb, c, blk in primary_split(sub):
-                entries += _process_place(
-                    blk, f, c, _la.mat_mul(F, Cwp, _la.transpose(vb)), f)
+    sub, base, entries = kron.regular_part, None, []
+    if kron.inf_tower:
+        (wb, W), (wpb, sub) = infinite_split(sub, kron.inf_tower)
+        swapped = Pencil(F, W.n, W.b_0, W.b_inf)
+        entries += _process_place(swapped, (F.zero, F.one),
+                                  char_endomorphism(swapped),
+                                  _la.transpose(wb), INF)
+        base = _la.transpose(wpb)
+    if sub.n:
+        # kron.inf_inverse is B_inf^-1 of the regular part when W = 0
+        for f, vb, c, blk in primary_split(sub, kron.inf_inverse):
+            cols = _la.transpose(vb)
+            entries += _process_place(blk, f, c, cols if base is None
+                                      else _la.mat_mul(F, base, cols), f)
     desc = canonical_assemble(F, kron, entries)
     achieved = apply_congruence(P, desc.transform)
     if achieved != desc.canonical:

@@ -3,8 +3,10 @@ and local-ring elements by enumeration, modular powers of polynomials by
 square and multiply, the companion matrix, the dual-basis power sums
 Tr(zeta^m / f'(zeta)) by the recurrence of f, pointwise evaluation of
 forms and pencils, the Moebius action of a homography on a point, place
-data read straight off the characteristic form, the stable kernel tower of
-B_inf by its own fixpoint loop, the exhaustive PGL_2 sweep for
+data read straight off the characteristic form, one level of the
+Kronecker walk by one dense kernel, the stable kernel tower of B_inf by
+its own fixpoint loop, the Kronecker staircase assembled and solved as
+one dense system, the exhaustive PGL_2 sweep for
 the homographies relating two binary forms, loop versions of the
 extension-field product and the matrix product, the number of
 congruence classes of pencils over F_p, alone and up to twist, by
@@ -258,6 +260,15 @@ def factor_signature(P):
             for de, ps in out.items()}
 
 
+def walk_level(P, img):
+    """B_inf^-1 of the column span of img in the canonical basis of
+    linalg.span_basis: the kernel of [B_inf | -img], cut to its first n
+    coordinates."""
+    F, n = P.ctx, P.n
+    A = la.hstack(P.b_inf, la.mat_neg(F, img))
+    return la.span_basis(F, [v[:n] for v in la.nullspace(F, A)])
+
+
 def stable_inf_tower(P):
     """The stable kernel tower of B_inf by a loop of its own: W_0 =
     Ker B_inf and W_(j+1) = B_inf^-1(B_0 W_j) until the dimension stops
@@ -267,14 +278,29 @@ def stable_inf_tower(P):
     F, n = P.ctx, P.n
     w = la.nullspace(F, P.b_inf, ncols=n)
     while w:
-        img = la.mat_mul(F, P.b_0, la.transpose(w))
-        A = la.hstack(P.b_inf, la.mat_neg(F, img))
-        nw = la.span_basis(F, [v[:n] for v in la.nullspace(F, A)])
+        nw = walk_level(P, la.mat_mul(F, P.b_0, la.transpose(w)))
         grew = len(nw) != len(w)
         w = nw
         if not grew:
             break
     return w
+
+
+def dense_staircase(F, L, D, rhs):
+    """The system L z_j + D z_(j+1) = rhs[j], j < s = len(rhs), assembled
+    as one dense s m x (s + 1) m matrix and solved by linalg.solve: the
+    rows z_0 .. z_s, or None."""
+    m, s = len(D), len(rhs)
+    big, b = [], []
+    for j in range(s):
+        blocks = [L if t == j else D if t == j + 1 else la.zeros(F, m, m)
+                  for t in range(s + 1)]
+        big.extend(tuple(x for blk in blocks for x in blk[r])
+                   for r in range(m))
+        b.extend(rhs[j])
+    z = la.solve(F, tuple(big), tuple(b))
+    return None if z is None else tuple(z[t * m:(t + 1) * m]
+                                        for t in range(s + 1))
 
 
 def mobius(g, x):

@@ -404,6 +404,42 @@ def test_primary_split_pivots_are_linear_in_n(n, monkeypatch):
     assert sum(pivots) <= 3 * n
 
 
+@pytest.mark.parametrize("F, n", [(make_field(101), 16),
+                                  (make_field(101), 32),
+                                  (make_field(3, 2), 8)], ids=str)
+def test_front_end_eliminates_b_inf_once(F, n, monkeypatch):
+    """On a regular pencil with B_inf invertible, kronecker_decompose and
+    the infinite split make one elimination before primary_split, of
+    [B_inf | I], and no congruence; c is then one product by the inverse
+    that elimination left, so forming it adds no elimination.  The
+    infinite split itself is not run: the tower of B_inf is empty."""
+    rng = random.Random(67 + n)
+    P = sp.rand_regular_pencil(F, rng, n)
+    counts = {"_rref_array": 0, "congruent": 0}
+    for name in counts:
+        def counted(*args, name=name, real=getattr(la, name)):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(la, name, counted)
+    at = {}
+
+    def entry(*args, real=regular.primary_split):
+        at["primary_split"] = dict(counts)
+        return real(*args)
+
+    def exit_(*args, real=regular.char_endomorphism):
+        c = real(*args)
+        at["char_endomorphism"] = dict(counts)
+        return c
+
+    monkeypatch.setattr(regular, "primary_split", entry)
+    monkeypatch.setattr(regular, "char_endomorphism", exit_)
+    canonicalize(P)
+    assert at["primary_split"] == {"_rref_array": 1, "congruent": 0}
+    assert at["char_endomorphism"] == at["primary_split"]
+
+
 def test_per_place_stage_redoes_no_work(monkeypatch):
     """One canonicalize each of a random regular n = 32 pencil over
     F_101, a planted singular n = 32 pencil with h = 4 and 23 rational
