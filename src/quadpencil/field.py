@@ -11,12 +11,17 @@ ints.  An absolute extension GF(p^k) with q <= TABLE_MAX_Q multiplies,
 inverts and raises to powers through log/antilog tables, built on first
 use and kept on the field object (extension() keeps one object per
 modulus).  Other extensions multiply by schoolbook convolution (an
-absolute one of degree >= 3 by one np.convolve and the rows below),
-raise to powers by square and multiply, and invert by `poly.poly_xgcd`,
-which runs on int lists over a prime base.  Every absolute extension of
-degree >= 2 carries `red_rows`, the rows x^t mod f for t < 2k - 1: they
-reduce a product's convolution, and row a of the matrix of
-multiplication by b, which `linalg` uses, is b times rows a to a + k - 1.
+absolute one of degree >= 3 by one np.convolve and the rows below,
+`poly.mul_rows`), raise to powers by square and multiply (an absolute
+one of degree >= 3 by `poly.pow_rows`, on one int64 vector throughout),
+and invert by `poly.poly_xgcd`, which runs on int lists over a prime
+base.  Every absolute extension of degree >= 2 carries `red_rows`, the
+rows x^t mod f for t < 2k - 1: they reduce a product's convolution, and
+row a of the matrix of multiplication by b, which `linalg` uses, is b
+times rows a to a + k - 1.
+
+A prime field also caches the chirp tables of `poly._linear_roots`
+(powers of its least primitive root), built on first use.
 
 `field_sqrt_class` is Tonelli-Shanks with one exponentiation per
 element, square or not: the field caches q - 1 = 2^s t, z^t for its
@@ -92,6 +97,7 @@ class FiniteField:
         self._extensions = {}
         self._nonsquare = None
         self._tonelli = None
+        self._chirp = None
         self._two_squares = None
         self.red_rows = None
         self._small = False
@@ -173,9 +179,9 @@ class FiniteField:
         """Product by convolution and reduction modulo the modulus."""
         # at degree 2 the reduction rows cost more than the schoolbook
         if self.deg >= 3 and self.red_rows is not None:
-            conv = np.convolve(np.asarray(a, dtype=np.int64),
-                               np.asarray(b, dtype=np.int64))
-            return tuple((conv % self.p @ self.red_rows % self.p).tolist())
+            return tuple(_poly.mul_rows(np.asarray(a, dtype=np.int64),
+                                        np.asarray(b, dtype=np.int64),
+                                        self.red_rows, self.p).tolist())
         base, d = self.base, self.deg
         t = [base.zero] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -238,6 +244,10 @@ class FiniteField:
         if self._small and a != self.zero:
             log = self._log or self._tables()
             return self._exp[log[a] * e % (self.q - 1)]
+        if self.deg >= 3 and self.red_rows is not None:
+            # _poly_mul's convolution path, on one vector throughout
+            return tuple(_poly.pow_rows(np.array(a, dtype=np.int64), e,
+                                        self.red_rows, self.p).tolist())
         return _poly.power(self.mul, a, e, self.one)
 
     def is_zero(self, a):

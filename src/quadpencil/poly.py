@@ -17,7 +17,13 @@ The distinct-degree loop keeps x^(q^d) mod f; over a prime field it
 takes each power after the first as one product by the Frobenius matrix
 Q of F_p[x]/f, whose row i is x^(i p) mod f, since h^p = h(x^p) there.
 ``is_irreducible`` is Ben-Or's test: ``poly_factor``'s distinct-degree
-loop, stopped at its first factor group.
+loop, stopped at its first factor group.  Each group is split by
+Cantor-Zassenhaus, but for the linear group over a prime field: its
+roots are the points where it vanishes, and one correlation against
+the chirp w^C(k, 2), w a primitive root, evaluates it at every unit
+(the tables are cached on the field).  ``mul_rows`` is the product
+kernel of F_p[x]/f on int64 vectors, and ``pow_rows`` its square and
+multiply, which extension fields use as well.
 """
 
 from __future__ import annotations
@@ -218,17 +224,28 @@ def poly_pow_mod(F, g, e, f):
                  poly_mod(F, g, f), e, (F.one,))
 
 
+def mul_rows(u, v, rows, p):
+    """Product of two length-k int64 vectors of F_p[x]/f, rows =
+    reduction_rows(f, p): one convolution times the rows x^t mod f."""
+    return np.convolve(u, v) % p @ rows % p
+
+
+def pow_rows(b, e, rows, p):
+    """b^e in F_p[x]/f for a length-k int64 vector b, rows =
+    reduction_rows(f, p), by square and multiply under mul_rows."""
+    return power(lambda u, v: mul_rows(u, v, rows, p), b, e,
+                 np.eye(1, len(b), dtype=np.int64)[0])
+
+
 def _pow_mod_rows(F, g, e, f):
-    """poly_pow_mod over F_p on length-k int64 vectors, k = deg f: a
-    product mod f is one convolution times the rows x^t mod f.  f need
-    not be monic, as its monic multiple leaves the same remainders."""
+    """poly_pow_mod over F_p on length-k int64 vectors, k = deg f.  f
+    need not be monic, as its monic multiple leaves the same
+    remainders."""
     p, k = F.p, poly_deg(f)
-    rows = reduction_rows(poly_monic(F, f), p)
     g = poly_mod(F, g, f)
     b = np.zeros(k, dtype=np.int64)
     b[:len(g)] = g
-    r = power(lambda u, v: np.convolve(u, v) % p @ rows % p, b, e,
-              np.eye(1, k, dtype=np.int64)[0])
+    r = pow_rows(b, e, reduction_rows(poly_monic(F, f), p), p)
     return poly_trim(F, r.tolist())
 
 
@@ -242,7 +259,7 @@ def _frobenius_rows(F, f, xq):
     b = np.array(poly_pad(F, xq, k), dtype=np.int64)
     Q = [np.eye(1, k, dtype=np.int64)[0], b]
     while len(Q) < k:
-        Q.append(np.convolve(Q[-1], b) % p @ rows % p)
+        Q.append(mul_rows(Q[-1], b, rows, p))
     return np.array(Q)
 
 
@@ -350,12 +367,61 @@ def _distinct_degree(F, f):
         yield rest, poly_deg(rest)
 
 
+def _chirp_tables(F):
+    """(pw, b) for the prime field F, cached on it: pw[e] = w^e for
+    e < N = p - 1 and b[k] = w^C(k, 2) for k <= 2N, w the least primitive
+    root.  pw is built by doubling and b indexes it."""
+    if F._chirp is None:
+        p, n = F.p, F.p - 1
+        primes, t, r = [], n, 2
+        while r * r <= t:
+            if t % r:
+                r += 1
+            else:
+                primes.append(r)
+                while t % r == 0:
+                    t //= r
+        primes += [t] * (t > 1)
+        w = next(g for g in range(1, p)
+                 if all(pow(g, n // r, p) != 1 for r in primes))
+        pw = np.ones(1, dtype=np.int64)
+        while len(pw) < n:
+            pw = np.concatenate((pw, pw * pow(w, len(pw), p) % p))
+        k = np.arange(2 * n + 1, dtype=np.int64)
+        F._chirp = (pw[:n], pw[k * (k - 1) // 2 % n])
+    return F._chirp
+
+
+def _linear_roots(F, f):
+    """Every root of a squarefree monic f over F_p that splits into
+    linear factors.  With ij = C(i + j, 2) - C(i, 2) - C(j, 2),
+    f(w^i) = w^-C(i, 2) sum_j f_j w^-C(j, 2) w^C(i + j, 2) (Bluestein),
+    so one exact correlation of the m + 1 scaled coefficients against
+    b evaluates f at every unit; its sums stay below (m + 1) p^2."""
+    p, m = F.p, poly_deg(f)
+    pw, b = _chirp_tables(F)
+    n = len(pw)
+    j = np.arange(m + 1, dtype=np.int64)
+    a = np.array(f, dtype=np.int64) * pw[-(j * (j - 1) // 2) % n] % p
+    at_units = np.correlate(b[:n + m], a, "valid") % p
+    roots = ([0] if f[0] == 0 else []) + pw[at_units == 0].tolist()
+    if len(roots) != m:
+        raise AssertionError("f does not split into distinct linear factors")
+    return roots
+
+
 def _equal_degree(F, f, d, rng):
-    """Cantor-Zassenhaus split of a squarefree monic product of degree-d
-    factors, yielded depth first so that a caller can stop at the first
-    factor."""
+    """Split a squarefree monic product of degree-d factors, yielded
+    depth first so that a caller can stop at the first factor.  Over a
+    prime field the linear factors are read off at once, from the roots
+    that _linear_roots finds by one correlation (Berlekamp's small-p
+    search over every point); otherwise Cantor-Zassenhaus splits f."""
     if poly_deg(f) == d:
         yield f
+        return
+    if F.prime and d == 1:
+        for r in _linear_roots(F, f):
+            yield (-r % F.p, 1)
         return
     n = poly_deg(f)
     while True:

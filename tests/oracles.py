@@ -1,6 +1,7 @@
-"""Reference oracles the tests compare the package against: square roots
-and local-ring elements by enumeration, modular powers of polynomials by
-square and multiply, the companion matrix, the dual-basis power sums
+"""Reference oracles the tests compare the package against: square roots,
+the roots of a polynomial over F_p and local-ring elements by
+enumeration, modular powers of polynomials by square and multiply, the
+companion matrix, the dual-basis power sums
 Tr(zeta^m / f'(zeta)) by the recurrence of f, pointwise evaluation of
 forms and pencils, the Moebius action of a homography on a point, place
 data read straight off the characteristic form, one level of the
@@ -35,6 +36,19 @@ def roots_by_scan(F):
     roots = {}
     for r in F.elements():
         roots.setdefault(F.mul(r, r), r)
+    return roots
+
+
+def roots_by_search(p, L):
+    """Every root in [0, p) of the int polynomial L over F_p, ascending,
+    by Horner's rule at each point."""
+    roots = []
+    for s in range(p):
+        acc = 0
+        for c in reversed(L):
+            acc = (acc * s + c) % p
+        if not acc:
+            roots.append(s)
     return roots
 
 

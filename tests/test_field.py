@@ -7,7 +7,7 @@ import pytest
 from quadpencil.field import (TABLE_MAX_Q, FiniteField, make_field,
                               field_sqrt, field_nonsquare, parse_field,
                               emit_field, parse_elem, emit_elem)
-from quadpencil.poly import canonical_modulus
+from quadpencil.poly import canonical_modulus, power
 
 from oracles import schoolbook_mul, roots_by_scan
 
@@ -267,9 +267,10 @@ def test_tables_match_the_schoolbook_product(p, deg):
             power = schoolbook_mul(F, power, a)
 
 
-@pytest.mark.parametrize("p,deg", [(17, 2), (3, 6)])
+@pytest.mark.parametrize("p,deg", [(17, 2), (3, 6), (101, 7)])
 def test_large_extensions_match_the_schoolbook_product(p, deg):
-    # beyond the table bound: schoolbook or plane products, xgcd inverses
+    # beyond the table bound: schoolbook or plane products, xgcd inverses,
+    # and powers, on int64 vectors from degree 3
     F = make_field(p, deg)
     assert F.q > TABLE_MAX_Q
     rng = random.Random(9)
@@ -278,3 +279,6 @@ def test_large_extensions_match_the_schoolbook_product(p, deg):
         assert F.mul(a, b) == schoolbook_mul(F, a, b)
         if a != F.zero:
             assert schoolbook_mul(F, a, F.inv(a)) == F.one
+        e = rng.randrange(F.q + 1)
+        assert F.pow(a, e) == power(lambda u, v: schoolbook_mul(F, u, v),
+                                    a, e, F.one)

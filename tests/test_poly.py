@@ -12,10 +12,11 @@ from quadpencil.poly import (poly_trim, poly_deg, poly_add, poly_sub,
                              poly_factor, is_irreducible,
                              canonical_modulus, PolyRing, _equal_degree)
 from quadpencil import linalg as la
+from quadpencil import poly as pl
 from quadpencil.ip2s import _target_roots
 
 from oracles import (as_generic, companion_matrix, irreducible_by_berlekamp,
-                     pow_mod_by_squaring, trace_power_sums)
+                     pow_mod_by_squaring, roots_by_search, trace_power_sums)
 
 
 def _rand_poly(F, rng, deg):
@@ -138,6 +139,10 @@ def test_factor_product_property():
     (5, ((3, 1), (3, 1))), (5, ((7, 1),)), (5, ((1, 2), (2, 3))),
     (5, ((9, 1),)), (5, ((4, 2), (2, 1))), (5, ((11, 1),)),
     (5, ((6, 1), (6, 1))),
+    # the root search at its edges: F_2, every point of F_7 (x^7 - x),
+    # and the largest prime
+    (2, ((1, 1), (1, 2))), (7, ((1, 1),) * 7),
+    (65521, ((1, 1),) * 16 + ((2, 1),)),
 ])
 def test_factor_returns_the_planted_irreducibles(p, planted):
     """poly_factor of a product of distinct irreducibles (degree d,
@@ -231,6 +236,55 @@ def test_first_linear_factor_is_a_root():
                 roots = [F.neg(g[0]) for g in (lin, *split)]
                 assert sorted(roots, key=F.sort_key) == sorted(
                     pts, key=F.sort_key)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65521])
+def test_linear_split_matches_the_root_search(p):
+    """The d = 1 step of the equal-degree split over F_p, on products of
+    m distinct linear factors with and without the root 0, m from 1 to
+    min(p, 48): it yields monic x - r, one per planted root r, and these
+    are the roots that the search of F_p finds.  At p = 65521 the search
+    runs for a few m only, as it evaluates f at every point."""
+    F = make_field(p)
+    rng = random.Random(p)
+    for m in range(1, min(p, 48) + 1):
+        for zero in (False, True):
+            if m == p and not zero:
+                continue
+            pts = rng.sample(range(1, p), m - zero) + [0] * zero
+            f = (F.one,)
+            for r in pts:
+                f = poly_mul(F, f, (F.neg(r), F.one))
+            got = list(_equal_degree(F, f, 1, random.Random(0x5EED)))
+            assert all(len(g) == 2 and g[1] == F.one for g in got)
+            roots = sorted(F.neg(g[0]) for g in got)
+            assert roots == sorted(pts)
+            if p < 65521 or m in (1, 2, 3, 4, 16, 47, 48):
+                assert roots == roots_by_search(p, f)
+
+
+def test_linear_factors_take_no_exponentiation(monkeypatch):
+    """Over F_101, poly_factor of 35 distinct linear factors times an
+    irreducible quadratic raises a polynomial to a power once: x^p mod f
+    in the distinct-degree loop.  The linear group is split by no power
+    of a random polynomial."""
+    F = make_field(101)
+    quad = (2, 0, 1)
+    assert is_irreducible(F, quad)
+    f = quad
+    for r in range(1, 36):
+        f = poly_mul(F, f, (F.neg(r), F.one))
+    calls = []
+    orig = poly_pow_mod
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    monkeypatch.setattr(pl, "poly_pow_mod", counted)
+    got = poly_factor(F, f)
+    assert got == [((F.neg(r), F.one), 1) for r in range(35, 0, -1)] + [
+        (quad, 1)]
+    assert len(calls) == 1 and calls[0][2] == F.p
 
 
 def _places(F, d):
